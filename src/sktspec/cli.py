@@ -6,11 +6,11 @@ Subcommands
     certify  search for certificate weights (exit 0 feasible, 2 infeasible)
     run      integrate one initial condition and write snapshots + manifest
              (exit 0 steady/t_max, 3 blow-up, 4 step budget, 1 bad config)
-    sweep    the nine-initial-condition grid (worst run decides the exit code)
-    tensors  build the triple-product tensors and report their sparsity
+    sweep    the nine-initial-condition grid, run in order (worst run
+             decides the exit code)
 
-All JSON output is deterministic: no timestamps, repr-round-trip floats,
-sorted keys.  SKTSPEC_THREADS caps sweep parallelism.
+All JSON output is deterministic and strict: no timestamps, repr-round-trip
+floats, sorted keys, and no NaN or infinity (a missing value is null).
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .galerkin import ic_field
+from .galerkin import check_ic
 from .integrate import (
     OUTCOME_BLOWUP,
     OUTCOME_BUDGET,
@@ -42,7 +41,7 @@ from .model import (
     params_to_dict,
     resolve_params,
 )
-from .spectral import build_tensors, save_tensors, synthesize
+from .spectral import synthesize
 
 __all__ = ["main", "parse_ic", "SWEEP_SHAPES"]
 
@@ -65,8 +64,16 @@ def parse_ic(text: str):
     Forms: "constant:U[,V]" (a pair when two values are given),
     "cosine:OFFSET,AMP,J,K", "gaussian:CX,CY,SIGMA,AMP,OFFSET", or
     "@file.json" holding either a descriptor or {"u": ..., "v": ...}.
-    Returns a single descriptor dict or a (u_desc, v_desc) tuple.
+    Returns a single descriptor dict or a (u_desc, v_desc) tuple; a
+    non-finite number or a sigma <= 0 raises ValueError (see check_ic).
     """
+    parsed = _parse_ic_text(text)
+    for ic in parsed if isinstance(parsed, tuple) else (parsed,):
+        check_ic(ic)
+    return parsed
+
+
+def _parse_ic_text(text: str):
     if text.startswith("@"):
         with open(text[1:]) as fh:
             data = json.load(fh)
@@ -124,16 +131,6 @@ def _params_from_args(args) -> ModelParams:
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _thread_cap() -> int:
-    env = os.environ.get("SKTSPEC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"SKTSPEC_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 def cmd_check(args) -> int:
@@ -199,9 +196,9 @@ def cmd_run(args) -> int:
     return _RUN_EXIT[result.outcome]
 
 
-def _sweep_deviation(result, equilibrium) -> float:
+def _sweep_deviation(result, equilibrium) -> float | None:
     if equilibrium is None:
-        return float("nan")
+        return None
     res = 4 * (result.config.n + 1)
     u, v = synthesize(result.final_state, res)
     return max(float(np.abs(u - equilibrium[0]).max()),
@@ -219,28 +216,21 @@ def cmd_sweep(args) -> int:
     pairs = [(lu, lv) for lu in labels for lv in labels]
     equilibrium = coexistence_steady_state(p)
 
-    def one(pair):
-        lu, lv = pair
-        result = run(p, config, SWEEP_SHAPES[lu], SWEEP_SHAPES[lv])
-        out_dir = os.path.join(args.out, f"u{lu}_v{lv}")
-        save_run(result, out_dir)
-        return pair, result, _sweep_deviation(result, equilibrium)
-
-    workers = min(len(pairs), _thread_cap())
     rows = []
     failures = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pair: pool.submit(one, pair) for pair in pairs}
-        for pair in pairs:
-            try:
-                rows.append(futures[pair].result())
-            except Exception as exc:  # partial results stay on disk
-                failures.append((pair, exc))
+    for lu, lv in pairs:
+        try:
+            result = run(p, config, SWEEP_SHAPES[lu], SWEEP_SHAPES[lv])
+            save_run(result, os.path.join(args.out, f"u{lu}_v{lv}"))
+            rows.append(((lu, lv), result, _sweep_deviation(result, equilibrium)))
+        except Exception as exc:  # partial results stay on disk
+            failures.append(((lu, lv), exc))
 
     summary = []
     print(f"{'u_ic':>4} {'v_ic':>4} {'outcome':>22} {'max_deviation':>14} {'t_end':>8}")
     for (lu, lv), result, dev in rows:
-        print(f"{lu:>4} {lv:>4} {result.outcome:>22} {dev:>14.6e} {result.final_state.t:>8.2f}")
+        dev_text = "n/a" if dev is None else f"{dev:.6e}"
+        print(f"{lu:>4} {lv:>4} {result.outcome:>22} {dev_text:>14} {result.final_state.t:>8.2f}")
         summary.append({"u_ic": lu, "v_ic": lv, "outcome": result.outcome,
                         "max_deviation": dev, "t_end": result.final_state.t,
                         "out_dir": f"u{lu}_v{lv}"})
@@ -250,7 +240,7 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep_manifest.json"), "w") as fh:
         json.dump({"params": params_to_dict(p), "config": config.to_dict(),
-                   "runs": summary}, fh, indent=2, sort_keys=True)
+                   "runs": summary}, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     if failures:
@@ -260,17 +250,6 @@ def cmd_sweep(args) -> int:
         return 3
     if OUTCOME_BUDGET in outcomes:
         return 4
-    return 0
-
-
-def cmd_tensors(args) -> int:
-    tensors = build_tensors(args.n)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        save_tensors(tensors, os.path.join(args.out, f"tensors_n{args.n}.npz"))
-    _emit({"n": args.n, "modes": tensors.modes,
-           "mass_nnz": tensors.mass_nnz, "stiff_nnz": tensors.stiff_nnz,
-           "saved": bool(args.out)})
     return 0
 
 
@@ -316,11 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_source(sp)
     add_run_options(sp)
     sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("tensors", help="build triple-product tensors")
-    sp.add_argument("--n", type=int, default=8)
-    sp.add_argument("--out", default=None, help="directory for the npz cache")
-    sp.set_defaults(func=cmd_tensors)
     return parser
 
 

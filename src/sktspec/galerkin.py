@@ -4,15 +4,18 @@ The weak form against a test mode phi is
 
     <du/dt, phi> = -<P, grad phi> + <f, phi>,       P = Pu grad u + Pv grad v,
 
-with the boundary term dropped by the zero-flux condition.  Expanding u, v in
-the basis turns each quadratic term into a triple-product contraction: the
-flux terms hit stiff3 (coefficient mode, differentiated mode, test mode) and
-the reaction quadratics hit mass3.  The linear diffusion part is diagonal
-with eigenvalues j^2 + k^2.
+with the boundary term dropped by the zero-flux condition.  RhsAssembler
+evaluates it as an exact linear part at the spatial mean plus a quadratic
+part in the deviation, which it synthesizes, multiplies pointwise and
+projects on a midpoint grid fine enough to integrate it exactly.  rhs_oracle
+evaluates the whole weak form in one piece on a finer grid.  Tests check
+RhsAssembler against it and against the triple-product tensors of
+spectral.build_tensors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +24,7 @@ from .model import ModelParams, flux_coeffs, reactions
 from .spectral import (
     Basis,
     SpectralState,
-    TripleTensors,
     analyze,
-    cached_tensors,
     laplacian_eigenvalues,
     midpoint_nodes,
     synthesize,
@@ -35,55 +36,76 @@ __all__ = [
     "rhs",
     "rhs_oracle",
     "project_initial",
+    "check_ic",
     "ic_field",
     "ic_coefficients",
 ]
 
 
 class RhsAssembler:
-    """Binds parameters to the triple-product tensors of one truncation order.
+    """Binds parameters to the transform tables of one truncation order.
 
-    The per-species contraction fuses the three flux terms (and the two
-    reaction quadratics) into a single gather + bincount pass over the shared
-    sparsity pattern; summation order within each test mode is fixed by the
-    coalesced COO layout, so results are deterministic.
+    The state splits into its mean (mode (0, 0)) and a zero-mean deviation.
+    The mean gives the reactions pi*(f, g)(u_bar, v_bar) on mode (0, 0) and a
+    2x2 linear block per mode, -(j^2 + k^2) A + J, with A the cross-diffusion
+    matrix and J the reaction Jacobian at the mean.  The part quadratic in the
+    deviation is synthesized on the midpoint grid of R = floor(3n/2) + 1
+    points per axis, formed pointwise, and projected back.  Its integrands
+    are trigonometric of degree at most 3n < 2R per axis, so the midpoint
+    rule integrates them exactly (the 3/2 rule).  A homogeneous state has a
+    zero deviation and so gets exact zeros off the mean mode.
     """
 
-    def __init__(self, params: ModelParams, tensors: TripleTensors):
+    def __init__(self, params: ModelParams, n: int):
         params.validate()
         self.params = params
-        self.tensors = tensors
-        self.n = tensors.n
-        self._eig = laplacian_eigenvalues(self.n)
+        self.n = n
+        nodes = midpoint_nodes(3 * n // 2 + 1)
+        basis = Basis(n)
+        self._C = basis.cos_table(nodes)
+        self._D = basis.dcos_table(nodes)
+        self._cell = (np.pi / nodes.size) ** 2
+        self._eig = laplacian_eigenvalues(n).reshape(n + 1, n + 1)
 
     @classmethod
     def for_order(cls, params: ModelParams, n: int) -> "RhsAssembler":
-        return cls(params, cached_tensors(n))
+        return cls(params, n)
 
     def rhs_flat(self, y: np.ndarray) -> np.ndarray:
         """Derivative of the packed coefficient vector [mu1.ravel(), mu2.ravel()]."""
         p = self.params
-        T = self.tensors
-        m = T.modes
-        x1, x2 = y[:m], y[m:]
+        C, D = self._C, self._D
+        w = self.n + 1
+        mu = y.reshape(2, w, w).copy()
+        u_bar, v_bar = mu[0, 0, 0] / np.pi, mu[1, 0, 0] / np.pi
+        mu[:, 0, 0] = 0.0
 
-        x1a, x1c = x1[T.s_ia], x1[T.s_ic]
-        x2a, x2c = x2[T.s_ia], x2[T.s_ic]
-        w1 = T.s_val * ((p.alpha11 * x1a + p.alpha12 * x2a) * x1c + p.b11 * x1a * x2c)
-        w2 = T.s_val * ((p.alpha21 * x1a + p.alpha22 * x2a) * x2c + p.b22 * x2a * x1c)
-        flux1 = np.bincount(T.s_it, weights=w1, minlength=m)
-        flux2 = np.bincount(T.s_it, weights=w2, minlength=m)
+        # Linear part at the mean.
+        A = flux_coeffs(p, u_bar, v_bar)
+        f_u = p.a1 - 2.0 * p.b1 * u_bar + p.c1 * v_bar
+        f_v = p.c1 * u_bar
+        g_u = p.b2 * v_bar
+        g_v = p.a2 + p.b2 * u_bar - 2.0 * p.c2 * v_bar
+        eig = self._eig
+        out = np.empty_like(mu)
+        out[0] = (f_u - eig * A.Pu) * mu[0] + (f_v - eig * A.Pv) * mu[1]
+        out[1] = (g_u - eig * A.Qu) * mu[0] + (g_v - eig * A.Qv) * mu[1]
+        f, g = reactions(p, u_bar, v_bar)
+        out[0, 0, 0] += np.pi * f
+        out[1, 0, 0] += np.pi * g
 
-        y1a, y1c = x1[T.m_ia], x1[T.m_ic]
-        y2a, y2c = x2[T.m_ia], x2[T.m_ic]
-        q1 = T.m_val * (y1a * (p.b1 * y1c - p.c1 * y2c))
-        q2 = T.m_val * (y2a * (p.c2 * y2c - p.b2 * y1c))
-        react1 = np.bincount(T.m_it, weights=q1, minlength=m)
-        react2 = np.bincount(T.m_it, weights=q2, minlength=m)
-
-        d1 = (p.a1 - p.d1 * self._eig) * x1 - flux1 - react1
-        d2 = (p.a2 - p.d2 * self._eig) * x2 - flux2 - react2
-        return np.concatenate([d1, d2])
+        # Quadratic part of the deviation, by the 3/2-rule grid.
+        cm = C.T @ mu
+        u, v = cm @ C
+        ux, vx = (D.T @ mu) @ C
+        uy, vy = cm @ D
+        s1 = p.alpha11 * u + p.alpha12 * v
+        s2 = p.alpha21 * u + p.alpha22 * v
+        px = np.stack([s1 * ux + p.b11 * u * vx, s2 * vx + p.b22 * v * ux])
+        py = np.stack([s1 * uy + p.b11 * u * vy, s2 * vy + p.b22 * v * uy])
+        r = np.stack([u * (p.b1 * u - p.c1 * v), v * (p.c2 * v - p.b2 * u)])
+        out -= self._cell * (D @ px @ C.T + C @ (py @ D.T + r @ C.T))
+        return out.ravel()
 
     def rhs(self, state: SpectralState):
         if state.n != self.n:
@@ -134,18 +156,57 @@ def rhs_oracle(params: ModelParams, state: SpectralState, resolution: int):
     return dmu1, dmu2
 
 
+def check_ic(ic):
+    """Return ic unchanged, or raise ValueError naming its first bad number.
+
+    Every number of a descriptor (and every value of a grid field) must be
+    finite, and a Gaussian's sigma must be positive.
+    """
+    if not isinstance(ic, dict):
+        if not np.all(np.isfinite(np.asarray(ic, dtype=float))):
+            raise ValueError("initial field has non-finite values")
+        return ic
+    kind = ic.get("type")
+    if kind == "constant":
+        numbers = {"value": ic["value"] if "value" in ic else ic.get("u")}
+    elif kind == "cosine":
+        numbers = {"offset": ic.get("offset", 0.0)}
+        terms = ic.get("terms")
+        if not (isinstance(terms, list) and all(isinstance(t, dict) for t in terms)):
+            raise ValueError(f"cosine initial condition: terms must be a list of objects, got {terms!r}")
+        for i, term in enumerate(terms):
+            numbers.update({f"terms[{i}].{key}": term.get(key) for key in ("amp", "j", "k")})
+    elif kind == "gaussian":
+        numbers = {key: ic.get(key) for key in ("cx", "cy", "sigma", "amp")}
+        numbers["offset"] = ic.get("offset", 0.0)
+    else:
+        raise ValueError(f"unknown initial-condition type {kind!r}")
+    for key, raw in numbers.items():
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise ValueError(f"{kind} initial condition: {key} must be a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} initial condition: {key} must be finite, got {value}")
+    if kind == "gaussian" and float(ic["sigma"]) <= 0.0:
+        raise ValueError(f"gaussian initial condition: sigma must be > 0, got {float(ic['sigma'])}")
+    return ic
+
+
 def ic_field(ic, resolution: int) -> np.ndarray:
     """Evaluate an initial-condition descriptor (or pass through a grid field).
 
     Descriptors: {"type": "constant", "value": c} (key "u" accepted as an
     alias), {"type": "cosine", "offset": c, "terms": [{"j", "k", "amp"}]},
-    {"type": "gaussian", "cx", "cy", "sigma", "amp", "offset"}.
+    {"type": "gaussian", "cx", "cy", "sigma", "amp", "offset"}.  Bad numbers
+    are rejected by check_ic.
     """
+    check_ic(ic)
     if isinstance(ic, np.ndarray):
         return ic
     if not isinstance(ic, dict):
         return np.asarray(ic, dtype=float)
-    kind = ic.get("type")
+    kind = ic["type"]
     x = midpoint_nodes(resolution)[:, None]
     y = midpoint_nodes(resolution)[None, :]
     if kind == "constant":
@@ -156,10 +217,8 @@ def ic_field(ic, resolution: int) -> np.ndarray:
         for term in ic["terms"]:
             field = field + float(term["amp"]) * np.cos(int(term["j"]) * x) * np.cos(int(term["k"]) * y)
         return field
-    if kind == "gaussian":
-        r2 = (x - float(ic["cx"])) ** 2 + (y - float(ic["cy"])) ** 2
-        return float(ic.get("offset", 0.0)) + float(ic["amp"]) * np.exp(-r2 / (2.0 * float(ic["sigma"]) ** 2))
-    raise ValueError(f"unknown initial-condition type {kind!r}")
+    r2 = (x - float(ic["cx"])) ** 2 + (y - float(ic["cy"])) ** 2  # gaussian
+    return float(ic.get("offset", 0.0)) + float(ic["amp"]) * np.exp(-r2 / (2.0 * float(ic["sigma"]) ** 2))
 
 
 def ic_coefficients(ic, n: int):
@@ -202,7 +261,7 @@ class ProjectionReport:
 
 
 def _project_one(ic, n: int, resolution: int, label: str) -> np.ndarray:
-    field = ic_field(ic, resolution) if isinstance(ic, dict) else np.asarray(ic, dtype=float)
+    field = ic_field(ic, resolution)
     lo = float(field.min())
     # Tolerate synthesis roundoff at zero, nothing more.
     if lo < -1e-12 * max(1.0, float(np.abs(field).max())):

@@ -75,7 +75,7 @@ def _error_norm(e: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, at
     return float(np.max(np.abs(e) / sc))
 
 
-def _attempt(fun, t: float, y: np.ndarray, dt: float, k1: Optional[np.ndarray]):
+def _attempt(fun, y: np.ndarray, dt: float, k1: Optional[np.ndarray]):
     """One trial step: returns (y_new, error vector, first stage, last stage)."""
     k = [None] * 7
     k[0] = fun(y) if k1 is None else k1
@@ -96,7 +96,7 @@ def _step_core(fun, t: float, y: np.ndarray, dt_try: float, rtol: float, atol: f
     while True:
         if dt < _UNDERFLOW_FLOOR * max(1.0, abs(t)):
             raise StepUnderflow(f"step size {dt} underflowed at t = {t}")
-        y_new, err_vec, k1, k_last = _attempt(fun, t, y, dt, k1)
+        y_new, err_vec, k1, k_last = _attempt(fun, y, dt, k1)
         if not np.all(np.isfinite(y_new)):
             err = math.inf
         else:
@@ -466,6 +466,6 @@ def save_run(result: RunResult, out_dir, resolution: Optional[int] = None) -> di
         "snapshots": snapshot_entries,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return manifest

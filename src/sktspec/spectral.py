@@ -9,7 +9,8 @@ which are orthonormal under the plain L2 inner product, satisfy zero-flux
 boundary conditions exactly, and diagonalize the Laplacian:
 -lap phi_{j,k} = (j^2 + k^2) phi_{j,k}.
 
-Quadratic (flux and reaction) terms of the solver need the triple products
+The quadratic (flux and reaction) terms of the weak form are the triple
+products
 
     mass3 [(l,m), (lt,mt), (jt,kt)] = int phi_{l,m} phi_{lt,mt} phi_{jt,kt}
     stiff3[(l,m), (lt,mt), (jt,kt)] = int phi_{l,m} grad phi_{lt,mt} . grad phi_{jt,kt}
@@ -18,11 +19,14 @@ Both factorize into 1-D integrals of cos*cos*cos (and cos*sin*sin for the
 derivative factor), which reduce to Kronecker deltas: the 1-D mass factor is
 nonzero only when the third index equals the sum or the absolute difference of
 the first two.  That selection rule keeps the tensors sparse, O(n^4) nonzeros.
+The solver does not use them: galerkin.RhsAssembler evaluates the same
+integrals by synthesis on an exact quadrature grid.  build_tensors and the
+quadrature oracle are kept as the independent reference that tests check the
+solver against.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,17 +43,12 @@ __all__ = [
     "synthesize_one",
     "analyze",
     "build_tensors",
-    "cached_tensors",
     "quadrature_oracle",
     "quadrature_tables",
-    "save_tensors",
-    "load_tensors",
 ]
 
 DOMAIN_LENGTH = np.pi
 DOMAIN_AREA = np.pi ** 2
-
-TENSOR_CACHE_VERSION = 1
 
 
 def midpoint_nodes(resolution: int) -> np.ndarray:
@@ -234,8 +233,6 @@ class TripleTensors:
         self.modes = (n + 1) ** 2
         self.m_ia, self.m_ic, self.m_it, self.m_val = mass_coo
         self.s_ia, self.s_ic, self.s_it, self.s_val = stiff_coo
-        self._mass_map = None
-        self._stiff_map = None
 
     def contract_mass(self, x_flat: np.ndarray, y_flat: np.ndarray) -> np.ndarray:
         w = self.m_val * x_flat[self.m_ia] * y_flat[self.m_ic]
@@ -244,28 +241,6 @@ class TripleTensors:
     def contract_stiff(self, x_flat: np.ndarray, y_flat: np.ndarray) -> np.ndarray:
         w = self.s_val * x_flat[self.s_ia] * y_flat[self.s_ic]
         return np.bincount(self.s_it, weights=w, minlength=self.modes)
-
-    def _build_map(self, ia, ic, it, val):
-        width = self.n + 1
-        entries = {}
-        for a, c, t, v in zip(ia, ic, it, val):
-            key = (
-                (int(a) // width, int(a) % width),
-                (int(c) // width, int(c) % width),
-                (int(t) // width, int(t) % width),
-            )
-            entries[key] = float(v)
-        return entries
-
-    def mass_entry(self, coeff_mode, field_mode, test_mode) -> float:
-        if self._mass_map is None:
-            self._mass_map = self._build_map(self.m_ia, self.m_ic, self.m_it, self.m_val)
-        return self._mass_map.get((tuple(coeff_mode), tuple(field_mode), tuple(test_mode)), 0.0)
-
-    def stiff_entry(self, coeff_mode, field_mode, test_mode) -> float:
-        if self._stiff_map is None:
-            self._stiff_map = self._build_map(self.s_ia, self.s_ic, self.s_it, self.s_val)
-        return self._stiff_map.get((tuple(coeff_mode), tuple(field_mode), tuple(test_mode)), 0.0)
 
     @property
     def mass_nnz(self) -> int:
@@ -331,11 +306,6 @@ def build_tensors(n: int) -> TripleTensors:
     return TripleTensors(n, mass_coo, stiff_coo)
 
 
-@functools.lru_cache(maxsize=8)
-def cached_tensors(n: int) -> TripleTensors:
-    return build_tensors(n)
-
-
 # Quadrature oracle: the same integrals by Gauss-Legendre quadrature, used by
 # tests to cross-check the analytic assembly.  Integrands are trigonometric
 # with frequency at most 3n per axis; the default point count is generous.
@@ -387,27 +357,3 @@ def quadrature_tables(n: int, rule_points: int | None = None):
     ).reshape(modes, modes, modes)
     return mass, stiff
 
-
-def save_tensors(tensors: TripleTensors, path) -> None:
-    """Write a tensor set to a versioned binary cache file."""
-    np.savez_compressed(
-        path,
-        version=np.int64(TENSOR_CACHE_VERSION),
-        n=np.int64(tensors.n),
-        m_ia=tensors.m_ia, m_ic=tensors.m_ic, m_it=tensors.m_it, m_val=tensors.m_val,
-        s_ia=tensors.s_ia, s_ic=tensors.s_ic, s_it=tensors.s_it, s_val=tensors.s_val,
-    )
-
-
-def load_tensors(path) -> TripleTensors:
-    """Read a tensor cache written by save_tensors; validates the version."""
-    with np.load(path) as data:
-        if int(data["version"]) != TENSOR_CACHE_VERSION:
-            raise ValueError(
-                f"tensor cache version {int(data['version'])} unsupported "
-                f"(expected {TENSOR_CACHE_VERSION})"
-            )
-        n = int(data["n"])
-        mass = (data["m_ia"], data["m_ic"], data["m_it"], data["m_val"])
-        stiff = (data["s_ia"], data["s_ic"], data["s_it"], data["s_val"])
-        return TripleTensors(n, mass, stiff)

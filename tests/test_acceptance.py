@@ -36,8 +36,10 @@ EQUILIBRIA = {"case1": (0.520513, 0.205128), "case2": (1.05, 0.8)}
 
 
 @contextmanager
-def criterion(num, description, budget):
-    t0 = time.perf_counter()
+def criterion(num, description, budget, fixture_s=0.0):
+    # fixture_s: time already spent in a fixture the criterion reads; it
+    # counts toward the reported time and the budget.
+    t0 = time.perf_counter() - fixture_s
     try:
         yield
     except BaseException:
@@ -205,7 +207,8 @@ def sweeps(tmp_path_factory):
 
 
 def test_criterion_07_homogenization_sweeps(sweeps):
-    with criterion(7, "9/9 steady_state with sup-deviation < 1e-3 (both cases)", 300.0):
+    with criterion(7, "9/9 steady_state with sup-deviation < 1e-3 (both cases)", 300.0,
+                   sweeps["elapsed"]):
         for name in ("case1", "case2"):
             data = sweeps[name]
             assert data["exit"] == 0
@@ -247,7 +250,8 @@ def test_criterion_09_lyapunov_trend(sweeps):
     # equilibrium level H* = H(u*, v*); it does not make the grid max of H
     # monotone.  Runs from low-mass data dip below H* and climb back from below.
     with criterion(9, "case1 runs: max_H <= initial level; on the final half it does not "
-                      "rise above max(previous, H(u*, v*)) (1e-6 slack)", 300.0):
+                      "rise above max(previous, H(u*, v*)) (1e-6 slack)", 300.0,
+                   sweeps["elapsed"]):
         equilibrium = coexistence_steady_state(preset("case1"))
         assert np.allclose(equilibrium, EQUILIBRIA["case1"], rtol=0.0, atol=1e-6)
         for manifest in sweeps["case1"]["runs"]:
@@ -263,6 +267,7 @@ def test_criterion_09_lyapunov_trend(sweeps):
             assert len(tail) >= 2
             for earlier, later in zip(tail, tail[1:]):
                 assert later <= max(earlier, h_star) + 1e-6, (earlier, later, h_star)
+        assert sweeps["elapsed"] < 300.0, sweeps["elapsed"]
 
 
 def test_criterion_10_sign_condition_sampler():

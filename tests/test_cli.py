@@ -194,8 +194,7 @@ def test_run_reruns_are_byte_identical(capsys, tmp_path):
     assert m1 == m2
 
 
-def test_sweep_small_grid(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SKTSPEC_THREADS", "3")
+def test_sweep_small_grid(capsys, tmp_path):
     out_dir = tmp_path / "sweep"
     code, out, _ = run_cli(capsys, "sweep", "case1", "--n", "2", "--tmax", "2.0",
                            "--out", str(out_dir))
@@ -211,28 +210,6 @@ def test_sweep_small_grid(capsys, tmp_path, monkeypatch):
         assert entry["outcome"] in ("steady_state", "t_max_reached")
         sub = out_dir / entry["out_dir"]
         assert (sub / "manifest.json").exists()
-
-
-def test_sweep_rejects_bad_thread_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SKTSPEC_THREADS", "lots")
-    code, _, err = run_cli(capsys, "sweep", "case1", "--n", "2", "--tmax", "1.0",
-                           "--out", str(tmp_path / "s"))
-    assert code == 1
-    assert "SKTSPEC_THREADS" in err
-
-
-def test_tensors_command(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "tensors", "--n", "3", "--out", str(tmp_path))
-    assert code == 0
-    data = json.loads(out)
-    assert data["n"] == 3
-    assert data["modes"] == 16
-    assert data["saved"] is True
-    assert (tmp_path / "tensors_n3.npz").exists()
-
-    code, out, _ = run_cli(capsys, "tensors", "--n", "2")
-    assert code == 0
-    assert json.loads(out)["saved"] is False
 
 
 def test_parse_ic_forms(tmp_path):
@@ -265,3 +242,60 @@ def test_parse_ic_forms(tmp_path):
 def test_parse_ic_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_ic(bad)
+
+
+def run_with_ic(capsys, tmp_path, *ics):
+    out_dir = tmp_path / "out"
+    flags = [arg for ic in ics for arg in ("--ic", ic)]
+    code, _, err = run_cli(capsys, "run", "case1", "--n", "2", "--tmax", "1.0",
+                           *flags, "--out", str(out_dir))
+    return code, err, out_dir
+
+
+def test_run_rejects_nan_in_ic(capsys, tmp_path):
+    code, err, out_dir = run_with_ic(capsys, tmp_path, "gaussian:1.5,1.5,0.5,nan,0.2")
+    assert code == 1
+    assert "amp must be finite" in err
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_run_rejects_zero_sigma(capsys, tmp_path):
+    code, err, _ = run_with_ic(capsys, tmp_path, "gaussian:1.5,1.5,0,0.3,0.2")
+    assert code == 1
+    assert "sigma must be > 0" in err
+
+
+def test_run_rejects_infinite_constant(capsys, tmp_path):
+    code, err, _ = run_with_ic(capsys, tmp_path, "constant:inf")
+    assert code == 1
+    assert "value must be finite" in err
+
+
+def test_run_rejects_bad_ic_file(capsys, tmp_path):
+    # json.load accepts the bare NaN token, so the check must see file input too
+    ic_path = tmp_path / "ic.json"
+    ic_path.write_text('{"u": {"type": "constant", "value": 0.5}, '
+                       '"v": {"type": "cosine", "offset": 0.5, '
+                       '"terms": [{"j": 1, "k": 0, "amp": NaN}]}}')
+    code, err, _ = run_with_ic(capsys, tmp_path, f"@{ic_path}")
+    assert code == 1
+    assert "terms[0].amp must be finite" in err
+
+
+def test_sweep_manifest_is_strict_json_without_equilibrium(capsys, tmp_path):
+    # b1*c2 == c1*b2: no coexistence state, so no deviation to report
+    path = write_params(tmp_path, "degenerate.json", b1=1.0, c1=1.0, b2=1.0, c2=1.0)
+    out_dir = tmp_path / "sweep"
+    code, out, _ = run_cli(capsys, "sweep", path, "--n", "2", "--tmax", "1.0",
+                           "--out", str(out_dir))
+    assert code == 0
+    text = (out_dir / "sweep_manifest.json").read_text()
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    manifest = json.loads(text, parse_constant=reject)
+    assert [r["max_deviation"] for r in manifest["runs"]] == [None] * 9
+    for entry in manifest["runs"]:
+        json.loads((out_dir / entry["out_dir"] / "manifest.json").read_text(),
+                   parse_constant=reject)

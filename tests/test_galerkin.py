@@ -14,7 +14,13 @@ from sktspec.galerkin import (
     rhs_oracle,
 )
 from sktspec.model import coexistence_steady_state, preset, reactions
-from sktspec.spectral import Basis, SpectralState, laplacian_eigenvalues, synthesize
+from sktspec.spectral import (
+    Basis,
+    SpectralState,
+    build_tensors,
+    laplacian_eigenvalues,
+    synthesize,
+)
 
 
 def random_state(rng, n, scale=0.3):
@@ -39,6 +45,48 @@ def test_rhs_matches_quadrature_oracle(name, n, rng):
         scale = max(np.abs(o1).max(), np.abs(o2).max(), 1.0)
         assert np.abs(d1 - o1).max() / scale < 1e-12
         assert np.abs(d2 - o2).max() / scale < 1e-12
+
+
+def tensor_rhs(p, tensors, mu1, mu2):
+    """The weak form by the triple-product tensors: the diagonal linear part
+    minus the flux (stiff3) and reaction (mass3) contractions."""
+    x1, x2 = mu1.ravel(), mu2.ravel()
+    stiff, mass = tensors.contract_stiff, tensors.contract_mass
+    eig = laplacian_eigenvalues(tensors.n)
+    d1 = ((p.a1 - p.d1 * eig) * x1
+          - p.alpha11 * stiff(x1, x1) - p.alpha12 * stiff(x2, x1) - p.b11 * stiff(x1, x2)
+          - p.b1 * mass(x1, x1) + p.c1 * mass(x1, x2))
+    d2 = ((p.a2 - p.d2 * eig) * x2
+          - p.alpha21 * stiff(x1, x2) - p.alpha22 * stiff(x2, x2) - p.b22 * stiff(x2, x1)
+          - p.c2 * mass(x2, x2) + p.b2 * mass(x2, x1))
+    return d1.reshape(mu1.shape), d2.reshape(mu2.shape)
+
+
+@pytest.mark.parametrize("name", ["case1", "case2"])
+def test_rhs_matches_tensor_contraction(name, rng):
+    p = preset(name)
+    for n in range(9):
+        asm = RhsAssembler.for_order(p, n)
+        tensors = build_tensors(n)
+        for _ in range(3):
+            state = random_state(rng, n)
+            d1, d2 = asm.rhs(state)
+            t1, t2 = tensor_rhs(p, tensors, state.mu1, state.mu2)
+            scale = max(np.abs(t1).max(), np.abs(t2).max())
+            assert np.abs(d1 - t1).max() <= 1e-12 * scale, n
+            assert np.abs(d2 - t2).max() <= 1e-12 * scale, n
+
+
+@given(st.integers(0, 8), st.integers(0, 2**32 - 1), st.sampled_from(["case1", "case2"]))
+def test_rhs_commutes_with_swapping_x_and_y(n, seed, name):
+    p = preset(name)
+    state = random_state(np.random.default_rng(seed), n)
+    asm = RhsAssembler.for_order(p, n)
+    d1, d2 = asm.rhs(state)
+    s1, s2 = asm.rhs(SpectralState(state.mu1.T, state.mu2.T, 0.0))
+    scale = max(np.abs(d1).max(), np.abs(d2).max())
+    assert np.abs(s1 - d1.T).max() <= 1e-13 * scale
+    assert np.abs(s2 - d2.T).max() <= 1e-13 * scale
 
 
 def test_rhs_oracle_insensitive_to_extra_resolution(case1, rng):
@@ -168,6 +216,18 @@ def test_ic_field_passthrough_and_unknown():
     assert ic_field(arr, 4) is arr
     with pytest.raises(ValueError, match="unknown initial-condition type"):
         ic_field({"type": "sawtooth"}, 8)
+
+
+@pytest.mark.parametrize("ic, message", [
+    ({"type": "constant", "value": float("nan")}, "value must be finite"),
+    ({"type": "cosine", "offset": 0.5}, "terms must be a list"),
+    ({"type": "cosine", "terms": [{"j": 1, "k": 0, "amp": "big"}]}, r"terms\[0\].amp must be a number"),
+    ({"type": "gaussian", "cx": 1, "cy": 1, "sigma": -0.1, "amp": 1}, "sigma must be > 0"),
+    (np.array([[0.5, np.inf]]), "non-finite"),
+], ids=["nan-value", "no-terms", "text-amp", "negative-sigma", "inf-grid"])
+def test_ic_field_rejects_bad_numbers(ic, message):
+    with pytest.raises(ValueError, match=message):
+        ic_field(ic, 8)
 
 
 def test_ic_coefficients_exactness():

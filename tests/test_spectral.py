@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,16 +11,32 @@ from sktspec.spectral import (
     SpectralState,
     analyze,
     build_tensors,
-    cached_tensors,
     laplacian_eigenvalues,
-    load_tensors,
     midpoint_nodes,
     quadrature_oracle,
     quadrature_tables,
-    save_tensors,
     synthesize,
     synthesize_one,
 )
+
+
+@functools.lru_cache(maxsize=None)
+def dense_tensors(n):
+    """build_tensors(n) scattered into dense (coeff, field, test) arrays."""
+    T = build_tensors(n)
+    m = T.modes
+    mass = np.zeros((m, m, m))
+    stiff = np.zeros((m, m, m))
+    mass[T.m_ia, T.m_ic, T.m_it] = T.m_val
+    stiff[T.s_ia, T.s_ic, T.s_it] = T.s_val
+    return mass, stiff
+
+
+def entry(n, kind, coeff_mode, field_mode, test_mode):
+    """One tensor entry by (j, k) mode pairs; kind is "mass" or "stiff"."""
+    table = dense_tensors(n)[0 if kind == "mass" else 1]
+    flat = [j * (n + 1) + k for j, k in (coeff_mode, field_mode, test_mode)]
+    return float(table[tuple(flat)])
 
 
 def count1d(n):
@@ -73,24 +91,22 @@ def test_state_shape_checks():
 
 
 def test_known_tensor_entries():
-    T = cached_tensors(4)
-    inv_sqrt_pi3 = 1.0 / np.pi  # all-constant triple: (1/sqrt(pi))^6 * pi^2
-    assert T.mass_entry((0, 0), (0, 0), (0, 0)) == pytest.approx(1.0 / np.pi, rel=1e-14)
+    # all-constant triple: (1/sqrt(pi))^6 * pi^2
+    assert entry(4, "mass", (0, 0), (0, 0), (0, 0)) == pytest.approx(1.0 / np.pi, rel=1e-14)
     # one constant factor: reduces to the orthonormality integral
-    assert T.mass_entry((0, 0), (2, 3), (2, 3)) == pytest.approx(1.0 / np.pi, rel=1e-14)
+    assert entry(4, "mass", (0, 0), (2, 3), (2, 3)) == pytest.approx(1.0 / np.pi, rel=1e-14)
     # gradient pairing with a constant coefficient: (j^2+k^2)/pi
-    assert T.stiff_entry((0, 0), (2, 3), (2, 3)) == pytest.approx(13.0 / np.pi, rel=1e-13)
+    assert entry(4, "stiff", (0, 0), (2, 3), (2, 3)) == pytest.approx(13.0 / np.pi, rel=1e-13)
     # output mode (0,0) never receives stiffness (test gradient vanishes)
-    assert T.stiff_entry((1, 1), (1, 1), (0, 0)) == 0.0
+    assert entry(4, "stiff", (1, 1), (1, 1), (0, 0)) == 0.0
 
 
 def test_mass_selection_rules():
-    T = cached_tensors(4)
     # nonzero requires j_c in {j_a + j_b, |j_a - j_b|} on each axis
-    assert T.mass_entry((1, 0), (2, 0), (4, 0)) == 0.0
-    assert T.mass_entry((1, 1), (1, 1), (1, 0)) == 0.0
-    assert T.mass_entry((1, 0), (2, 0), (3, 0)) != 0.0
-    assert T.mass_entry((1, 0), (2, 0), (1, 0)) != 0.0
+    assert entry(4, "mass", (1, 0), (2, 0), (4, 0)) == 0.0
+    assert entry(4, "mass", (1, 1), (1, 1), (1, 0)) == 0.0
+    assert entry(4, "mass", (1, 0), (2, 0), (3, 0)) != 0.0
+    assert entry(4, "mass", (1, 0), (2, 0), (1, 0)) != 0.0
 
 
 def test_nnz_count_formula():
@@ -101,25 +117,19 @@ def test_nnz_count_formula():
 
 def test_tensors_match_quadrature_dense():
     for n in (2, 3):
-        T = build_tensors(n)
         mass_q, stiff_q = quadrature_tables(n)
-        m = (n + 1) ** 2
-        mass_d = np.zeros((m, m, m))
-        stiff_d = np.zeros((m, m, m))
-        mass_d[T.m_ia, T.m_ic, T.m_it] = T.m_val
-        stiff_d[T.s_ia, T.s_ic, T.s_it] = T.s_val
+        mass_d, stiff_d = dense_tensors(n)
         assert np.abs(mass_d - mass_q).max() < 1e-13
         assert np.abs(stiff_d - stiff_q).max() < 1e-12
 
 
 def test_quadrature_oracle_single_entries():
-    T = cached_tensors(3)
-    for entry in [((0, 0), (1, 2), (1, 2)), ((1, 1), (1, 1), (2, 2)), ((2, 0), (1, 1), (3, 1))]:
-        got = T.mass_entry(*entry)
-        want = quadrature_oracle(3, entry, kind="mass")
+    for modes in [((0, 0), (1, 2), (1, 2)), ((1, 1), (1, 1), (2, 2)), ((2, 0), (1, 1), (3, 1))]:
+        got = entry(3, "mass", *modes)
+        want = quadrature_oracle(3, modes, kind="mass")
         assert got == pytest.approx(want, abs=1e-13)
-        got_s = T.stiff_entry(*entry)
-        want_s = quadrature_oracle(3, entry, kind="stiff")
+        got_s = entry(3, "stiff", *modes)
+        want_s = quadrature_oracle(3, modes, kind="stiff")
         assert got_s == pytest.approx(want_s, abs=1e-12)
 
 
@@ -128,11 +138,10 @@ def test_quadrature_oracle_single_entries():
 def test_stiffness_eigen_identity(ja, ka, jb, kb, jc, kc):
     # integrating grad phi_B . grad phi_C against phi_A ties the two tensors:
     # stiff = (eig_B + eig_C - eig_A) / 2 * mass
-    T = cached_tensors(4)
     A, B, C = (ja, ka), (jb, kb), (jc, kc)
     eig = lambda m: m[0] ** 2 + m[1] ** 2
-    lhs = T.stiff_entry(A, B, C)
-    rhs = 0.5 * (eig(B) + eig(C) - eig(A)) * T.mass_entry(A, B, C)
+    lhs = entry(4, "stiff", A, B, C)
+    rhs = 0.5 * (eig(B) + eig(C) - eig(A)) * entry(4, "mass", A, B, C)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -141,16 +150,6 @@ def test_synthesize_pair_matches_single(rng):
     u, v = synthesize(st_, 16)
     assert np.array_equal(u, synthesize_one(st_.mu1, 16))
     assert np.array_equal(v, synthesize_one(st_.mu2, 16))
-
-
-def test_save_load_round_trip(tmp_path):
-    T = build_tensors(3)
-    path = tmp_path / "t3.npz"
-    save_tensors(T, path)
-    L = load_tensors(path)
-    assert L.n == 3
-    assert np.array_equal(L.m_val, T.m_val)
-    assert np.array_equal(L.s_it, T.s_it)
 
 
 def test_domain_area():
