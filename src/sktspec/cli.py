@@ -190,8 +190,8 @@ def cmd_run(args) -> int:
     except (ParamsError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit({"outcome": result.outcome, "final_time": result.final_state.t,
-           "n_steps": result.n_steps, "out_dir": args.out,
+    _emit({"outcome": result.outcome, "reason": result.reason,
+           "final_time": result.final_state.t, "n_steps": result.n_steps, "out_dir": args.out,
            "final_diagnostics": manifest["timeseries"][-1]})
     return _RUN_EXIT[result.outcome]
 

@@ -48,7 +48,8 @@ class RhsAssembler:
     The state splits into its mean (mode (0, 0)) and a zero-mean deviation.
     The mean gives the reactions pi*(f, g)(u_bar, v_bar) on mode (0, 0) and a
     2x2 linear block per mode, -(j^2 + k^2) A + J, with A the cross-diffusion
-    matrix and J the reaction Jacobian at the mean.  The part quadratic in the
+    matrix and J the reaction Jacobian at the mean (linear_blocks; the time
+    stepper integrates these blocks exactly).  The part quadratic in the
     deviation is synthesized on the midpoint grid of R = floor(3n/2) + 1
     points per axis, formed pointwise, and projected back.  Its integrands
     are trigonometric of degree at most 3n < 2R per axis, so the midpoint
@@ -71,6 +72,26 @@ class RhsAssembler:
     def for_order(cls, params: ModelParams, n: int) -> "RhsAssembler":
         return cls(params, n)
 
+    def linear_blocks(self, y: np.ndarray) -> np.ndarray:
+        """The 2x2 linear block of every mode at the mean of the packed state y.
+
+        Returns L of shape (2, 2, n+1, n+1): L[:, :, j, k] is the block
+        -(j^2 + k^2) A + J at (u_bar, v_bar), with A the cross-diffusion
+        matrix and J the reaction Jacobian, so that the linear part of the
+        derivative of species r is L[r, 0] mu1 + L[r, 1] mu2.  The block of
+        mode (0, 0) is zero: the mean mode carries the reactions instead.
+        """
+        p = self.params
+        w = self.n + 1
+        u_bar, v_bar = y[0] / np.pi, y[w * w] / np.pi
+        fc = flux_coeffs(p, u_bar, v_bar)
+        A = np.array([[fc.Pu, fc.Pv], [fc.Qu, fc.Qv]])
+        J = np.array([[p.a1 - 2.0 * p.b1 * u_bar + p.c1 * v_bar, p.c1 * u_bar],
+                      [p.b2 * v_bar, p.a2 + p.b2 * u_bar - 2.0 * p.c2 * v_bar]])
+        L = J[:, :, None, None] - A[:, :, None, None] * self._eig
+        L[:, :, 0, 0] = 0.0
+        return L
+
     def rhs_flat(self, y: np.ndarray) -> np.ndarray:
         """Derivative of the packed coefficient vector [mu1.ravel(), mu2.ravel()]."""
         p = self.params
@@ -81,15 +102,8 @@ class RhsAssembler:
         mu[:, 0, 0] = 0.0
 
         # Linear part at the mean.
-        A = flux_coeffs(p, u_bar, v_bar)
-        f_u = p.a1 - 2.0 * p.b1 * u_bar + p.c1 * v_bar
-        f_v = p.c1 * u_bar
-        g_u = p.b2 * v_bar
-        g_v = p.a2 + p.b2 * u_bar - 2.0 * p.c2 * v_bar
-        eig = self._eig
-        out = np.empty_like(mu)
-        out[0] = (f_u - eig * A.Pu) * mu[0] + (f_v - eig * A.Pv) * mu[1]
-        out[1] = (g_u - eig * A.Qu) * mu[0] + (g_v - eig * A.Qv) * mu[1]
+        L = self.linear_blocks(y)
+        out = L[:, 0] * mu[0] + L[:, 1] * mu[1]
         f, g = reactions(p, u_bar, v_bar)
         out[0, 0, 0] += np.pi * f
         out[1, 0, 0] += np.pi * g

@@ -1,12 +1,20 @@
 """Adaptive time integration, run orchestration, and cross-validation solvers.
 
-The coefficient ODE system is advanced with an embedded Dormand-Prince 5(4)
-pair: FSAL stage reuse, PI step-size control, and a weighted max-norm error
-test err = max |e_i| / (atol + rtol*max(|y_i|, |y_new_i|)) <= 1.  Runs record
-diagnostics on a fixed snapshot cadence and classify the outcome as
-steady_state, t_max_reached, blow_up, or step_budget_exhausted.  A flux-form
-finite-volume solver on the same domain provides an independent reference
-discretization.
+The coefficient ODE system y' = F(y) is split as y' = L y + N(y), with L the
+per-mode 2x2 linear blocks of RhsAssembler.linear_blocks frozen at the
+spatial mean of each step's start (zero on the mean mode) and N = F - L y.
+Each step is the integrating-factor ("Lawson") form of the embedded
+Dormand-Prince 5(4) pair: every stage carries the exact block exponentials
+exp(theta h L), so the stiff diffusion of high modes sets no stability limit
+and the step is chosen by accuracy alone.  It keeps six rhs calls per
+attempt with FSAL stage reuse, PI step-size control, and a weighted
+max-norm error test err = max |e_i| / (atol + rtol*max(|y_i|, |y_new_i|)) <= 1.
+A homogeneous state stays homogeneous exactly.  Runs record diagnostics on a
+fixed snapshot cadence, classify the outcome as steady_state, t_max_reached,
+blow_up (with the reason step_underflow or sup_threshold), or
+step_budget_exhausted, and count accepted steps, rejected attempts and rhs
+evaluations.  A flux-form finite-volume solver on the same domain provides
+an independent reference discretization.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction as Fr
 from typing import Optional
 
 import numpy as np
@@ -42,20 +51,50 @@ OUTCOME_STEADY = "steady_state"
 OUTCOME_TMAX = "t_max_reached"
 OUTCOME_BLOWUP = "blow_up"
 OUTCOME_BUDGET = "step_budget_exhausted"
+# Why a run ended in blow_up: the step size collapsed, or the fields exceeded
+# the configured sup threshold.
+REASON_UNDERFLOW = "step_underflow"
+REASON_SUP = "sup_threshold"
 
-# Dormand-Prince 5(4) tableau; E = 5th-order weights minus embedded 4th-order.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Dormand-Prince 5(4) tableau, exact; E = 5th-order weights minus embedded 4th-order.
+_DP_C = (Fr(0), Fr(1, 5), Fr(3, 10), Fr(4, 5), Fr(8, 9), Fr(1), Fr(1))
+_DP_A = (
+    (),
+    (Fr(1, 5),),
+    (Fr(3, 40), Fr(9, 40)),
+    (Fr(44, 45), Fr(-56, 15), Fr(32, 9)),
+    (Fr(19372, 6561), Fr(-25360, 2187), Fr(64448, 6561), Fr(-212, 729)),
+    (Fr(9017, 3168), Fr(-355, 33), Fr(46732, 5247), Fr(49, 176), Fr(-5103, 18656)),
+    (Fr(35, 384), Fr(0), Fr(500, 1113), Fr(125, 192), Fr(-2187, 6784), Fr(11, 84)),
+)
+_DP_E = (Fr(71, 57600), Fr(0), Fr(-71, 16695), Fr(71, 1920), Fr(-17253, 339200),
+         Fr(22, 525), Fr(-1, 40))
+
+
+def _lawson_tableau():
+    """The Lawson form of the tableau as one table of combinations.
+
+    Stage k = 0..6 is Y_k = e^{c_k hL} y + h sum_{j<k} a_kj e^{(c_k - c_j) hL} N_j,
+    with Y_0 = y and N_j = N(Y_j); Y_6 is the new state.  Row k = 1..6 of the
+    table gives Y_k and row 7 the error estimate h sum_j e_j e^{(1 - c_j) hL} N_j
+    (row 0 is unused).  Column 0 is y and column j + 1 is N_j.  Returns the
+    distinct factors theta of hL, the index of each entry's factor, and its
+    weight (the weights of N are multiplied by h at each attempt).
+    """
+    rows = [[(_DP_C[i], Fr(1))] + [(_DP_C[i] - _DP_C[j], a) for j, a in enumerate(_DP_A[i])]
+            for i in range(1, 7)]
+    rows.append([(Fr(0), Fr(0))] + [(1 - _DP_C[j], e) for j, e in enumerate(_DP_E)])
+    thetas = sorted({theta for row in rows for theta, _ in row})
+    index = np.zeros((8, 8), dtype=int)
+    weight = np.zeros((8, 8))
+    for i, row in enumerate(rows, start=1):
+        for j, (theta, w) in enumerate(row):
+            index[i, j] = thetas.index(theta)
+            weight[i, j] = float(w)
+    return np.array([float(theta) for theta in thetas])[:, None, None], index, weight
+
+
+_THETA, _ROW_THETA, _ROW_WEIGHT = _lawson_tableau()
 
 _UNDERFLOW_FLOOR = 1e-14
 _FAC_SAFETY = 0.9
@@ -75,28 +114,96 @@ def _error_norm(e: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, at
     return float(np.max(np.abs(e) / sc))
 
 
-def _attempt(fun, y: np.ndarray, dt: float, k1: Optional[np.ndarray]):
-    """One trial step: returns (y_new, error vector, first stage, last stage)."""
-    k = [None] * 7
-    k[0] = fun(y) if k1 is None else k1
+def _block_exp(L: np.ndarray, t) -> np.ndarray:
+    """exp(t L) for an array of 2x2 blocks L = [[l11, l12], [l21, l22]], shape (2, 2) + S.
+
+    With c = tr(L)/2 and K = L - cI, K^2 = sI for s = ((l11 - l22)/2)^2 + l12 l21,
+    so exp(tL) = alpha I + beta K with, for the eigenvalues c +- sqrt(s),
+    alpha = (e^{t lambda1} + e^{t lambda2})/2 and
+    beta = (e^{t lambda1} - e^{t lambda2})/(lambda1 - lambda2).  Both are
+    formed from e^{t lambda1} and expm1 for a real pair and from e^{tc}, cos
+    and sin for a complex pair: nothing overflows unless exp(tL) itself does,
+    and nothing cancels as the eigenvalues merge.  t >= 0 broadcasts against
+    S; the result has shape (2, 2) + the broadcast shape.
+    """
+    (l11, l12), (l21, l22) = L
+    k11 = 0.5 * (l11 - l22)
+    s = k11 * k11 + l12 * l21
+    real = s >= 0.0
+    root = np.sqrt(np.abs(s))
+    # e^{t lambda1} for a real pair, e^{tc} for a complex one
+    grow = np.exp(t * (0.5 * (l11 + l22) + root * real))
+    r = t * root
+    # alpha/grow and beta/(t grow) are 1 + expm1(-2r)/2 and -expm1(-2r)/(2r)
+    # for a real pair, cos(r) and sin(r)/r for a complex one, and 1 at r = 0.
+    m = np.expm1(-2.0 * r)
+    a = 1.0 + 0.5 * m
+    b = -0.5 * m
+    if not real.all():
+        complex_pair = np.broadcast_to(~real, r.shape)
+        np.cos(r, out=a, where=complex_pair)
+        np.sin(r, out=b, where=complex_pair)
+    alpha = grow * a
+    beta = np.divide(b, r, out=np.ones_like(r), where=r > 0.0)
+    beta *= grow
+    beta *= t
+    # In place: temporaries of this size cost more than the arithmetic.
+    E = np.empty((2, 2) + alpha.shape)
+    np.multiply(beta, k11, out=E[0, 0])
+    np.subtract(alpha, E[0, 0], out=E[1, 1])
+    E[0, 0] += alpha
+    np.multiply(beta, l12, out=E[0, 1])
+    np.multiply(beta, l21, out=E[1, 0])
+    return E
+
+
+def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-mode 2x2 blocks M (shape (2, 2, w, w)) applied to x (shape (2, w, w))."""
+    return M[:, 0] * x[0] + M[:, 1] * x[1]
+
+
+def _attempt(fun, L: np.ndarray, y: np.ndarray, n1: np.ndarray, h: float):
+    """One Lawson trial step of size h on y' = L y + N(y).
+
+    L has shape (2, 2, w, w); y and n1 = N(y) have shape (2, w, w).  Returns
+    (y_new, error vector, F(y_new)), the last for the next step's first
+    stage (FSAL).
+    """
+    E = _block_exp(L, h * _THETA)
+    W = h * _ROW_WEIGHT
+    W[:, 0] = _ROW_WEIGHT[:, 0]
+    V = np.empty((8,) + y.shape)
+    V[0], V[1] = y, n1
+
+    def row(i, cols):
+        return np.einsum("rsjab,j,jsab->rab", E[:, :, _ROW_THETA[i, cols]], W[i, cols], V[cols])
+
     for i in range(1, 7):
-        yi = y + dt * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-        k[i] = fun(yi)
-    y_new = y + dt * sum(b * k[j] for j, b in enumerate(_DP_B) if b != 0.0)
-    # FSAL: the 7th stage was evaluated at y_new itself.
-    err_vec = dt * sum(e * k[j] for j, e in enumerate(_DP_E) if e != 0.0)
-    return y_new, err_vec, k[0], k[6]
+        Y = row(i, slice(0, i + 1))
+        f = fun(Y.ravel())
+        V[i + 1] = f.reshape(y.shape) - _apply(L, Y)
+    # c_6 = 1 and row 6 holds the 5th-order weights, so Y_6 is the new state.
+    return Y.ravel(), row(7, slice(1, 8)).ravel(), f
 
 
-def _step_core(fun, t: float, y: np.ndarray, dt_try: float, rtol: float, atol: float,
-               err_prev: Optional[float], dt_max: float, k1: Optional[np.ndarray]):
-    """Advance one accepted step; returns (y_new, dt_used, dt_next, err, k_last)."""
+def _step_core(work: "_Work", t: float, y: np.ndarray, dt_try: float, rtol: float, atol: float,
+               err_prev: Optional[float], dt_max: float, f1: Optional[np.ndarray]):
+    """Advance one accepted Lawson DP5 step; returns (y_new, dt_used, dt_next, err, F(y_new)).
+
+    The linear part L is frozen at the mean of y for every attempt of the
+    step; f1 = F(y) from the previous step saves an rhs call (FSAL).
+    """
     dt = min(dt_try, dt_max)
+    if f1 is None:
+        f1 = work.rhs(y)
+    L = work.assembler.linear_blocks(y)
+    y2 = y.reshape(L.shape[1:])
+    n1 = f1.reshape(y2.shape) - _apply(L, y2)
     rejected = False
     while True:
         if dt < _UNDERFLOW_FLOOR * max(1.0, abs(t)):
             raise StepUnderflow(f"step size {dt} underflowed at t = {t}")
-        y_new, err_vec, k1, k_last = _attempt(fun, y, dt, k1)
+        y_new, err_vec, f_new = _attempt(work.rhs, L, y2, n1, dt)
         if not np.all(np.isfinite(y_new)):
             err = math.inf
         else:
@@ -104,6 +211,7 @@ def _step_core(fun, t: float, y: np.ndarray, dt_try: float, rtol: float, atol: f
         if err <= 1.0:
             break
         rejected = True
+        work.steps_rejected += 1
         shrink = max(0.1, _FAC_SAFETY * (err ** -0.2)) if math.isfinite(err) else 0.1
         dt *= min(shrink, 1.0)
 
@@ -113,7 +221,20 @@ def _step_core(fun, t: float, y: np.ndarray, dt_try: float, rtol: float, atol: f
         fac *= max(err_prev, 1e-10) ** _PI_BETA
     fac = min(_FAC_MAX if not rejected else 1.0, max(_FAC_MIN, fac))
     dt_next = min(dt * fac, dt_max)
-    return y_new, dt, dt_next, err, k_last
+    return y_new, dt, dt_next, err, f_new
+
+
+class _Work:
+    """An assembler's rhs with deterministic work counts."""
+
+    def __init__(self, assembler: RhsAssembler):
+        self.assembler = assembler
+        self.rhs_evals = 0
+        self.steps_rejected = 0
+
+    def rhs(self, y: np.ndarray) -> np.ndarray:
+        self.rhs_evals += 1
+        return self.assembler.rhs_flat(y)
 
 
 def _pack(state: SpectralState) -> np.ndarray:
@@ -129,7 +250,7 @@ def _unpack(y: np.ndarray, n: int, t: float) -> SpectralState:
 def step_adaptive(assembler: RhsAssembler, state: SpectralState, dt_suggest: float,
                   rtol: float, atol: float, err_prev: Optional[float] = None,
                   dt_max: float = math.inf):
-    """One accepted embedded RK 5(4) step of the coefficient system.
+    """One accepted Lawson DP5 step of the coefficient system.
 
     Returns (new state, dt_used, dt_next, err_est).  err_prev feeds the PI
     controller; callers chaining steps should pass the previous err_est.
@@ -141,7 +262,7 @@ def step_adaptive(assembler: RhsAssembler, state: SpectralState, dt_suggest: flo
         raise ValueError(f"dt_suggest must be positive, got {dt_suggest}")
     y = _pack(state)
     y_new, dt_used, dt_next, err, _ = _step_core(
-        assembler.rhs_flat, state.t, y, dt_suggest, rtol, atol, err_prev, dt_max, None)
+        _Work(assembler), state.t, y, dt_suggest, rtol, atol, err_prev, dt_max, None)
     return _unpack(y_new, state.n, state.t + dt_used), dt_used, dt_next, err
 
 
@@ -216,13 +337,19 @@ class RunResult:
     config: RunConfig
     params: ModelParams
     n_steps: int = 0
+    steps_rejected: int = 0
+    rhs_evals: int = 0
+    reason: Optional[str] = None
 
     def summary(self) -> dict:
         last = self.timeseries[-1]
         return {
             "outcome": self.outcome,
+            "reason": self.reason,
             "final_time": self.final_state.t,
             "n_steps": self.n_steps,
+            "steps_rejected": self.steps_rejected,
+            "rhs_evals": self.rhs_evals,
             "final_diagnostics": last.to_dict(),
         }
 
@@ -300,32 +427,31 @@ def run(params: ModelParams, config: RunConfig, ic_u, ic_v) -> RunResult:
     t = 0.0
     dt_next = min(0.01, config.snapshot_dt)
     err_prev = None
-    k1 = None
+    f = None
     n_steps = 0
-    outcome = OUTCOME_TMAX
+    work = _Work(assembler)
 
-    def finish(outc, yy, tt):
+    def finish(outc, yy, tt, reason=None):
+        # Every diagnostics record evaluates the rhs once.
         return RunResult(outc, _unpack(yy, config.n, tt), timeseries, snapshots,
-                         conditions, cert, level, projection, config, params, n_steps)
+                         conditions, cert, level, projection, config, params, n_steps,
+                         work.steps_rejected, work.rhs_evals + len(timeseries), reason)
 
     for t_target in targets:
         while t < t_target - 1e-12 * max(1.0, t_target):
             if n_steps >= config.max_steps:
                 return finish(OUTCOME_BUDGET, y, t)
             try:
-                y_new, dt_used, dt_next, err_prev, k_last = _step_core(
-                    assembler.rhs_flat, t, y, dt_next, config.rtol, config.atol,
-                    err_prev, t_target - t, k1)
+                y, dt_used, dt_next, err_prev, f = _step_core(
+                    work, t, y, dt_next, config.rtol, config.atol, err_prev, t_target - t, f)
             except StepUnderflow:
-                return finish(OUTCOME_BLOWUP, y, t)
-            if not np.all(np.isfinite(y_new)):
-                return finish(OUTCOME_BLOWUP, y, t)
-            y, t, k1 = y_new, t + dt_used, k_last
+                return finish(OUTCOME_BLOWUP, y, t, REASON_UNDERFLOW)
+            t += dt_used
             n_steps += 1
             if _sup_bound(y, m) > config.blowup_threshold:
                 fields = synthesize(_unpack(y, config.n, t), res)
                 if max(float(np.abs(fields[0]).max()), float(np.abs(fields[1]).max())) > config.blowup_threshold:
-                    return finish(OUTCOME_BLOWUP, y, t)
+                    return finish(OUTCOME_BLOWUP, y, t, REASON_SUP)
 
         state = _unpack(y, config.n, t_target)
         record = diagnostics(assembler, state, cert, level, res)
@@ -338,7 +464,7 @@ def run(params: ModelParams, config: RunConfig, ic_u, ic_v) -> RunResult:
         else:
             streak = 0
 
-    return finish(outcome, y, targets[-1] if targets else 0.0)
+    return finish(OUTCOME_TMAX, y, targets[-1] if targets else 0.0)
 
 
 def _state_norm(state: SpectralState) -> float:
@@ -456,7 +582,10 @@ def save_run(result: RunResult, out_dir, resolution: Optional[int] = None) -> di
         "params": params_to_dict(result.params),
         "config": result.config.to_dict(),
         "outcome": result.outcome,
+        "reason": result.reason,
         "n_steps": result.n_steps,
+        "steps_rejected": result.steps_rejected,
+        "rhs_evals": result.rhs_evals,
         "final_time": result.final_state.t,
         "level": result.level,
         "conditions": result.conditions.to_dict(),

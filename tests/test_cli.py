@@ -122,6 +122,7 @@ def test_run_writes_manifest(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["outcome"] == "t_max_reached"
+    assert payload["reason"] is None
     assert payload["final_time"] == 1.0
     assert payload["out_dir"] == str(out_dir)
     manifest = json.loads((out_dir / "manifest.json").read_text())
@@ -182,6 +183,9 @@ def test_run_blow_up_exit_three(capsys, tmp_path):
                                "--out", str(tmp_path / "boom"))
     assert code == 3
     assert json.loads(out)["outcome"] == "blow_up"
+    assert json.loads(out)["reason"] == "sup_threshold"
+    manifest = json.loads((tmp_path / "boom" / "manifest.json").read_text())
+    assert manifest["reason"] == "sup_threshold"
 
 
 def test_run_reruns_are_byte_identical(capsys, tmp_path):

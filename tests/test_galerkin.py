@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sktspec.galerkin import (
@@ -13,7 +13,7 @@ from sktspec.galerkin import (
     rhs,
     rhs_oracle,
 )
-from sktspec.model import coexistence_steady_state, preset, reactions
+from sktspec.model import ModelParams, coexistence_steady_state, preset, reactions
 from sktspec.spectral import (
     Basis,
     SpectralState,
@@ -105,18 +105,44 @@ def test_module_rhs_wraps_method(case2, rng):
     assert np.array_equal(d1, e1) and np.array_equal(d2, e2)
 
 
-def test_homogeneous_equilibrium_is_a_fixed_point(case1, case2):
-    for p in (case1, case2):
-        eq = coexistence_steady_state(p)
-        assert eq is not None
-        width = 9
-        mu1 = np.zeros((width, width))
-        mu2 = np.zeros((width, width))
-        mu1[0, 0] = eq[0] * np.pi
-        mu2[0, 0] = eq[1] * np.pi
-        d1, d2 = RhsAssembler.for_order(p, 8).rhs(SpectralState(mu1, mu2, 0.0))
-        assert np.abs(d1).max() < 1e-10
-        assert np.abs(d2).max() < 1e-10
+def params_strategy():
+    """Valid parameter sets whose coexistence state exists: b1*c2 > c1*b2."""
+    coeff = st.floats(0.0, 2.0)
+    return st.builds(
+        ModelParams,
+        d1=st.floats(0.01, 2.0), d2=st.floats(0.01, 2.0),
+        a1=st.floats(0.05, 2.0), b1=st.floats(1.0, 3.0), c1=st.floats(0.0, 0.9),
+        a2=st.floats(0.05, 2.0), b2=st.floats(0.0, 0.9), c2=st.floats(1.0, 3.0),
+        alpha11=coeff, alpha12=coeff, alpha21=coeff, alpha22=coeff, b11=coeff, b22=coeff,
+    )
+
+
+def constant_state(n, u, v):
+    width = n + 1
+    mu1 = np.zeros((width, width))
+    mu2 = np.zeros((width, width))
+    mu1[0, 0] = u * np.pi
+    mu2[0, 0] = v * np.pi
+    return SpectralState(mu1, mu2, 0.0)
+
+
+def reaction_scale(p, u, v):
+    """pi times the sum of the magnitudes of the reaction terms at (u, v)."""
+    return np.pi * (abs(u) * (p.a1 + p.b1 * abs(u) + p.c1 * abs(v))
+                    + abs(v) * (p.a2 + p.b2 * abs(u) + p.c2 * abs(v)))
+
+
+@given(params_strategy(), st.integers(0, 8))
+@example(preset("case1"), 8)
+@example(preset("case2"), 8)
+def test_homogeneous_equilibrium_is_a_fixed_point(p, n):
+    eq = coexistence_steady_state(p)
+    assert eq is not None
+    d1, d2 = RhsAssembler.for_order(p, n).rhs(constant_state(n, *eq))
+    tol = 1e-14 * reaction_scale(p, *eq)
+    assert abs(d1[0, 0]) <= tol and abs(d2[0, 0]) <= tol
+    d1[0, 0] = d2[0, 0] = 0.0
+    assert not d1.any() and not d2.any()
 
 
 def test_linear_regime_reduces_to_diagonal_decay(case1):
@@ -134,30 +160,33 @@ def test_linear_regime_reduces_to_diagonal_decay(case1):
     assert np.abs(d2 - (case1.a2 - case1.d2 * eig) * mu2).max() < 1e-13
 
 
-def test_mean_mode_sees_only_reactions(case1, rng):
+transport = st.fixed_dictionaries({
+    key: st.floats(0.01, 2.0) if key in ("d1", "d2") else st.floats(0.0, 2.0)
+    for key in ("d1", "d2", "alpha11", "alpha12", "alpha21", "alpha22", "b11", "b22")
+})
+
+
+@given(params_strategy(), transport, st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_mean_mode_sees_only_reactions(p, altered, n, seed):
     # Flux terms are orthogonal to the constant test mode, so the (0,0)
     # derivative is independent of every transport coefficient.
-    state = random_state(rng, 4)
-    base = RhsAssembler.for_order(case1, 4).rhs(state)
-    altered = replace(case1, d1=7.0, d2=3.0, alpha11=0.9, alpha12=0.7,
-                      alpha21=0.5, alpha22=1.3, b11=1.1, b22=0.8)
-    other = RhsAssembler.for_order(altered, 4).rhs(state)
-    assert base[0][0, 0] == pytest.approx(other[0][0, 0], rel=1e-12)
-    assert base[1][0, 0] == pytest.approx(other[1][0, 0], rel=1e-12)
+    state = random_state(np.random.default_rng(seed), n)
+    base = RhsAssembler.for_order(p, n).rhs(state)
+    other = RhsAssembler.for_order(replace(p, **altered), n).rhs(state)
+    assert base[0][0, 0] == pytest.approx(other[0][0, 0], rel=1e-12, abs=1e-14)
+    assert base[1][0, 0] == pytest.approx(other[1][0, 0], rel=1e-12, abs=1e-14)
 
 
-def test_mean_mode_value_constant_state(case1):
-    width = 5
-    mu1 = np.zeros((width, width))
-    mu2 = np.zeros((width, width))
-    mu1[0, 0] = 1.0 * np.pi
-    mu2[0, 0] = 1.0 * np.pi
-    d1, d2 = RhsAssembler.for_order(case1, 4).rhs(SpectralState(mu1, mu2, 0.0))
-    f, g = reactions(case1, 1.0, 1.0)
-    assert d1[0, 0] == pytest.approx(f * np.pi, rel=1e-13)
-    assert d2[0, 0] == pytest.approx(g * np.pi, rel=1e-13)
+@given(params_strategy(), st.integers(0, 8), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
+def test_mean_mode_value_constant_state(p, n, u, v):
+    d1, d2 = RhsAssembler.for_order(p, n).rhs(constant_state(n, u, v))
+    f, g = reactions(p, u, v)
+    tol = 1e-15 * reaction_scale(p, u, v)
+    assert d1[0, 0] == pytest.approx(f * np.pi, rel=1e-13, abs=tol)
+    assert d2[0, 0] == pytest.approx(g * np.pi, rel=1e-13, abs=tol)
     # every other mode of a homogeneous state stays homogeneous
-    assert np.abs(d1[1:, :]).max() == 0.0 and np.abs(d1[:, 1:]).max() == 0.0
+    d1[0, 0] = d2[0, 0] = 0.0
+    assert not d1.any() and not d2.any()
 
 
 @given(st.floats(0.0, 2.0))

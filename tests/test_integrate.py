@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sktspec.galerkin import RhsAssembler, project_initial
 from sktspec.integrate import (
     RunConfig,
     StepUnderflow,
+    _block_exp,
     diagnostics,
     fd_reference,
     read_snapshot,
@@ -47,6 +49,92 @@ def test_step_near_fixed_point_is_inert(case1):
     assert new.t == 0.5
     assert np.abs(new.mu1 - state.mu1).max() < 1e-12
     assert err < 1e-6
+
+
+def test_step_at_equilibrium_is_not_stability_limited(case2):
+    # The top mode of n = 16 decays faster than 1e3 per unit time, so an
+    # explicit step of dt = 1 is unstable; with that mode integrated exactly
+    # the perturbation vanishes and the step is accepted whole.
+    eq = coexistence_steady_state(case2)
+    state = constant_state(16, *eq)
+    asm = RhsAssembler.for_order(case2, 16)
+    perturbed = state.copy()
+    perturbed.mu1[16, 16] = 1e-6
+    new, dt_used, _, err = step_adaptive(asm, perturbed, 1.0, 1e-7, 1e-10, dt_max=1.0)
+    assert dt_used == 1.0 and err <= 1.0
+    assert np.abs(new.mu1 - state.mu1).max() < 1e-12
+    assert np.abs(new.mu2 - state.mu2).max() < 1e-12
+
+
+def expm_taylor(M):
+    """exp(M) of one 2x2 matrix: a 30-term Taylor series of M / 2^k, squared k
+    times, in extended precision where the platform has it."""
+    norm = float(np.abs(M).sum(axis=1).max())
+    k = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+    A = np.asarray(M, dtype=np.longdouble) / 2**k
+    term = total = np.eye(2, dtype=np.longdouble)
+    for i in range(1, 30):
+        term = term @ A / i
+        total = total + term
+    for _ in range(k):
+        total = total @ total
+    return total.astype(float)
+
+
+def blocks_with(c, k11, l12, l21):
+    """Stack blocks c I + [[k11, l12], [l21, -k11]] along a last axis (s = k11^2 + l12 l21)."""
+    c, k11, l12, l21 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (c, k11, l12, l21)))
+    return np.array([[c + k11, l12], [l21, c - k11]])
+
+
+def block_families(rng, size=60):
+    c = rng.uniform(-3.0, 1.0, size)
+    k = rng.uniform(-2.0, 2.0, size)
+    b = rng.uniform(0.1, 2.0, size) * rng.choice([-1.0, 1.0], size)
+    gap = rng.uniform(0.05, 3.0, size)
+    # dyadic c and k keep (l11 - l22)/2 and k^2 exact, so s is exactly 0
+    c_dyadic = rng.integers(-24, 9, size) / 8.0
+    k_dyadic = rng.integers(-16, 17, size) / 8.0
+    tiny = 1e-9 * rng.uniform(-1.0, 1.0, size)
+    return {
+        "real": blocks_with(c, k, b, (gap - k * k) / b),
+        "complex": blocks_with(c, k, b, (-gap - k * k) / b),
+        "coincident": blocks_with(c_dyadic, k_dyadic, np.ones(size), -k_dyadic * k_dyadic),
+        "jordan": blocks_with(c, 0.0, b, 0.0),
+        "scalar": blocks_with(c, 0.0, 0.0, 0.0),
+        "near_coincident": blocks_with(c, k, b, (tiny - k * k) / b),
+    }
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 3.0])
+def test_block_exp_matches_taylor_reference(t):
+    for family, L in block_families(np.random.default_rng(5)).items():
+        if family == "coincident":
+            k11 = 0.5 * (L[0, 0] - L[1, 1])
+            assert np.all(k11 * k11 + L[0, 1] * L[1, 0] == 0.0)
+        E = _block_exp(L, t)
+        for i in range(L.shape[-1]):
+            ref = expm_taylor(t * L[:, :, i])
+            assert np.abs(E[:, :, i] - ref).max() <= 1e-13 * np.abs(ref).max(), (family, i)
+
+
+def test_block_exp_is_finite_and_quiet_for_stiff_blocks():
+    # h |lambda| about 1e4: eigenvalues -1e4 and -0.5, -1e4 +- 30i, and -1e4
+    # twice (a Jordan block), each conjugated by a fixed well-conditioned V.
+    V = np.array([[1.0, 0.3], [0.2, 1.0]])
+    real = V @ np.diag([-1e4, -0.5]) @ np.linalg.inv(V)
+    cplx = V @ np.array([[-1e4, 30.0], [-30.0, -1e4]]) @ np.linalg.inv(V)
+    jordan = V @ np.array([[-1e4, 1.0], [0.0, -1e4]]) @ np.linalg.inv(V)
+    L = np.stack([real, cplx, jordan], axis=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            E = _block_exp(L, 1.0)
+    assert np.all(np.isfinite(E))
+    lam, vec = np.linalg.eig(real)
+    ref = (vec * np.exp(lam)) @ np.linalg.inv(vec)
+    assert np.abs(E[:, :, 0] - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert not E[:, :, 1:].any()  # e^{-1e4} underflows to 0
 
 
 def test_step_guards(case1):
@@ -113,6 +201,20 @@ def test_fifth_order_convergence(case1, rng):
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for slope in slopes:
         assert 4.3 < slope < 5.9, (slopes, errs)
+
+
+def test_case2_settles_in_few_steps(case2):
+    # Work-count guard: explicit Dormand-Prince needed 4962 accepted steps
+    # here, held by the stability limit of the stiffest mode.
+    result = run(case2, RunConfig(n=8), SWEEP_SHAPES["C"], SWEEP_SHAPES["C"])
+    assert result.outcome == "steady_state" and result.reason is None
+    assert result.n_steps <= 400
+    u, v = synthesize(result.final_state, 36)
+    assert max(np.abs(u - 1.05).max(), np.abs(v - 0.8).max()) < 1e-3
+    # Six rhs calls per attempt, one more for the run's first stage and one
+    # per diagnostics record.
+    attempts = result.n_steps + result.steps_rejected
+    assert result.rhs_evals == 6 * attempts + 1 + len(result.timeseries)
 
 
 def test_run_reaches_steady_state(case1):
@@ -189,8 +291,24 @@ def test_run_blow_up_outcome():
         result = run(p, RunConfig(n=2, t_max=5.0), {"type": "constant", "value": 1.0},
                      {"type": "constant", "value": 1.0})
     assert result.outcome == "blow_up"
+    assert result.reason == "sup_threshold"
     assert result.final_state.t < 5.0
     assert result.cert is None
+
+
+def test_run_blow_up_reason_step_underflow():
+    # With the sup threshold out of reach, the step collapses at the
+    # finite-time singularity instead.
+    p = params_from_dict(dict(d1=0.01, d2=0.01, a1=1.0, b1=0.01, c1=2.0,
+                              a2=1.0, b2=2.0, c2=0.01,
+                              alpha11=0.0, alpha12=0.0, alpha21=0.0,
+                              alpha22=0.0, b11=0.0, b22=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run(p, RunConfig(n=2, t_max=5.0, blowup_threshold=1e300),
+                     {"type": "constant", "value": 1.0}, {"type": "constant", "value": 1.0})
+    assert result.outcome == "blow_up"
+    assert result.reason == "step_underflow"
+    assert result.final_state.t < 5.0
 
 
 def test_run_step_budget_outcome(case1):
@@ -199,6 +317,7 @@ def test_run_step_budget_outcome(case1):
                                  "terms": [{"j": 1, "k": 1, "amp": 0.2}]},
                  {"type": "constant", "value": 0.4})
     assert result.outcome == "step_budget_exhausted"
+    assert result.reason is None
     assert result.n_steps == 3
 
 
@@ -292,9 +411,13 @@ def test_save_run_manifest_and_determinism(case1, tmp_path):
     save_run(result, out2)
 
     assert set(manifest) == {
-        "params", "config", "outcome", "n_steps", "final_time", "level",
-        "conditions", "certificate", "projection", "timeseries", "snapshots",
+        "params", "config", "outcome", "reason", "n_steps", "steps_rejected",
+        "rhs_evals", "final_time", "level", "conditions", "certificate",
+        "projection", "timeseries", "snapshots",
     }
+    assert manifest["reason"] is None
+    assert manifest["steps_rejected"] == result.steps_rejected
+    assert manifest["rhs_evals"] == result.rhs_evals > 6 * result.n_steps
     assert manifest["outcome"] == result.outcome
     assert len(manifest["snapshots"]) == len(result.snapshots)
     for entry in manifest["snapshots"]:
