@@ -134,12 +134,8 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_check(args) -> int:
-    try:
-        p = _params_from_args(args)
-        report = check_conditions(p)
-    except (ParamsError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    p = _params_from_args(args)
+    report = check_conditions(p)
     payload = {"params": params_to_dict(p)}
     payload.update(report.to_dict())
     _emit(payload)
@@ -147,11 +143,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        p = _params_from_args(args)
-    except (ParamsError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    p = _params_from_args(args)
     try:
         cert = find_certificate(p, k_max=args.kmax)
     except PreconditionError as exc:
@@ -176,20 +168,16 @@ def cmd_certify(args) -> int:
 def _config_from_args(args) -> RunConfig:
     return RunConfig(
         n=args.n, t_max=args.tmax, rtol=args.rtol, atol=args.atol,
-        snapshot_dt=args.snapshot_dt, seed=args.seed,
+        snapshot_dt=args.snapshot_dt,
     ).validate()
 
 
 def cmd_run(args) -> int:
-    try:
-        p = _params_from_args(args)
-        config = _config_from_args(args)
-        ic_u, ic_v = _resolve_ics(args.ic)
-        result = run(p, config, ic_u, ic_v)
-        manifest = save_run(result, args.out)
-    except (ParamsError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    p = _params_from_args(args)
+    config = _config_from_args(args)
+    ic_u, ic_v = _resolve_ics(args.ic)
+    result = run(p, config, ic_u, ic_v)
+    manifest = save_run(result, args.out)
     _emit({"outcome": result.outcome, "reason": result.reason,
            "final_time": result.final_state.t, "n_steps": result.n_steps, "out_dir": args.out,
            "final_diagnostics": manifest["timeseries"][-1]})
@@ -206,12 +194,8 @@ def _sweep_deviation(result, equilibrium) -> float | None:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        p = _params_from_args(args)
-        config = _config_from_args(args)
-    except (ParamsError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    p = _params_from_args(args)
+    config = _config_from_args(args)
     labels = sorted(SWEEP_SHAPES)
     pairs = [(lu, lv) for lu in labels for lv in labels]
     equilibrium = coexistence_steady_state(p)
@@ -265,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="preset name (case1/case2) or parameter JSON file")
         sp.add_argument("--params", default=None, help="parameter JSON file")
         sp.add_argument("--preset", default=None, help="preset name")
-        sp.add_argument("--seed", type=int, default=0)
 
     def add_run_options(sp):
         sp.add_argument("--n", type=int, default=8, help="truncation order")
@@ -282,6 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify", help="search for certificate weights")
     add_source(sp)
     sp.add_argument("--kmax", type=float, default=2.0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the reaction-sign sampler")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("run", help="integrate one initial condition")
@@ -302,7 +287,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

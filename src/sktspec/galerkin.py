@@ -33,7 +33,6 @@ from .spectral import (
 __all__ = [
     "RhsAssembler",
     "ProjectionReport",
-    "rhs",
     "rhs_oracle",
     "project_initial",
     "check_ic",
@@ -128,11 +127,6 @@ class RhsAssembler:
         dy = self.rhs_flat(np.concatenate([state.mu1.ravel(), state.mu2.ravel()]))
         m = width * width
         return dy[:m].reshape(width, width), dy[m:].reshape(width, width)
-
-
-def rhs(assembler: RhsAssembler, state: SpectralState):
-    """Coefficient derivatives (dmu1, dmu2) for both species."""
-    return assembler.rhs(state)
 
 
 def rhs_oracle(params: ModelParams, state: SpectralState, resolution: int):

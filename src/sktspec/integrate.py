@@ -13,8 +13,12 @@ A homogeneous state stays homogeneous exactly.  Runs record diagnostics on a
 fixed snapshot cadence, classify the outcome as steady_state, t_max_reached,
 blow_up (with the reason step_underflow or sup_threshold), or
 step_budget_exhausted, and count accepted steps, rejected attempts and rhs
-evaluations.  A flux-form finite-volume solver on the same domain provides
-an independent reference discretization.
+evaluations.  A run evaluates the rhs once at the initial state and then
+only inside step attempts: every snapshot time is a step end, so the
+diagnostics there read the derivative the stepper already holds, and
+rhs_evals = 6 * (accepted + rejected) + 1.  A flux-form finite-volume
+solver on the same domain provides an independent reference
+discretization.
 """
 
 from __future__ import annotations
@@ -187,15 +191,13 @@ def _attempt(fun, L: np.ndarray, y: np.ndarray, n1: np.ndarray, h: float):
 
 
 def _step_core(work: "_Work", t: float, y: np.ndarray, dt_try: float, rtol: float, atol: float,
-               err_prev: Optional[float], dt_max: float, f1: Optional[np.ndarray]):
+               err_prev: Optional[float], dt_max: float, f1: np.ndarray):
     """Advance one accepted Lawson DP5 step; returns (y_new, dt_used, dt_next, err, F(y_new)).
 
     The linear part L is frozen at the mean of y for every attempt of the
-    step; f1 = F(y) from the previous step saves an rhs call (FSAL).
+    step; f1 = F(y), which a run carries over from the previous step (FSAL).
     """
     dt = min(dt_try, dt_max)
-    if f1 is None:
-        f1 = work.rhs(y)
     L = work.assembler.linear_blocks(y)
     y2 = y.reshape(L.shape[1:])
     n1 = f1.reshape(y2.shape) - _apply(L, y2)
@@ -261,8 +263,9 @@ def step_adaptive(assembler: RhsAssembler, state: SpectralState, dt_suggest: flo
     if not dt_suggest > 0:
         raise ValueError(f"dt_suggest must be positive, got {dt_suggest}")
     y = _pack(state)
+    work = _Work(assembler)
     y_new, dt_used, dt_next, err, _ = _step_core(
-        _Work(assembler), state.t, y, dt_suggest, rtol, atol, err_prev, dt_max, None)
+        work, state.t, y, dt_suggest, rtol, atol, err_prev, dt_max, work.rhs(y))
     return _unpack(y_new, state.n, state.t + dt_used), dt_used, dt_next, err
 
 
@@ -276,7 +279,6 @@ class RunConfig:
     steady_tol: float = 1e-8
     blowup_threshold: float = 1e6
     max_steps: int = 200_000
-    seed: int = 0
 
     def validate(self) -> "RunConfig":
         if self.n < 0:
@@ -298,7 +300,6 @@ class RunConfig:
             "n": self.n, "t_max": self.t_max, "rtol": self.rtol, "atol": self.atol,
             "snapshot_dt": self.snapshot_dt, "steady_tol": self.steady_tol,
             "blowup_threshold": self.blowup_threshold, "max_steps": self.max_steps,
-            "seed": self.seed,
         }
 
 
@@ -354,18 +355,20 @@ class RunResult:
         }
 
 
-def diagnostics(assembler: RhsAssembler, state: SpectralState,
+def diagnostics(state: SpectralState, dy: np.ndarray,
                 cert: Optional[LyapunovCert] = None, level: float = 0.0,
                 resolution: Optional[int] = None) -> DiagnosticRecord:
     """Synthesized-field diagnostics at one instant.
 
-    Masses come from the constant mode (mu_00 * pi); extrema, max_H, and the
-    level-set functional L are read off the diagnostic grid (4(n+1) per axis
-    by default); rhs_norm is the Frobenius norm over both coefficient arrays.
+    dy is the packed derivative [dmu1.ravel(), dmu2.ravel()] of the state,
+    which a run already holds from its stepper.  Masses come from the
+    constant mode (mu_00 * pi); extrema, max_H, and the level-set functional
+    L are read off the diagnostic grid (4(n+1) per axis by default); rhs_norm
+    is the Frobenius norm of dy, summed per species.
     """
     res = resolution if resolution is not None else 4 * (state.n + 1)
     u, v = synthesize(state, res)
-    d1, d2 = assembler.rhs(state)
+    d1, d2 = np.split(dy, 2)
     rhs_norm = math.sqrt(float(np.sum(d1 * d1) + np.sum(d2 * d2)))
     if cert is not None:
         max_H = float(np.max(eval_H(cert, u, v).H))
@@ -414,28 +417,27 @@ def run(params: ModelParams, config: RunConfig, ic_u, ic_v) -> RunResult:
     else:
         level = 0.0
 
-    record = diagnostics(assembler, state, cert, level, res)
-    timeseries = [record]
-    snapshots = [state.copy()]
-    streak = 1 if record.rhs_norm < config.steady_tol * (1.0 + _state_norm(state)) else 0
-
-    targets = [i * config.snapshot_dt for i in range(1, int(config.t_max / config.snapshot_dt + 1e-9) + 1)]
-    if not targets or targets[-1] < config.t_max - 1e-12 * config.t_max:
+    # Snapshot targets start at the initial state.
+    targets = [i * config.snapshot_dt for i in range(int(config.t_max / config.snapshot_dt + 1e-9) + 1)]
+    if targets[-1] < config.t_max - 1e-12 * config.t_max:
         targets.append(config.t_max)
 
+    work = _Work(assembler)
     y = _pack(state)
+    # F(y), kept current by every step (FSAL); the diagnostics read it too.
+    f = work.rhs(y)
     t = 0.0
     dt_next = min(0.01, config.snapshot_dt)
     err_prev = None
-    f = None
     n_steps = 0
-    work = _Work(assembler)
+    timeseries = []
+    snapshots = []
+    streak = 0
 
     def finish(outc, yy, tt, reason=None):
-        # Every diagnostics record evaluates the rhs once.
         return RunResult(outc, _unpack(yy, config.n, tt), timeseries, snapshots,
                          conditions, cert, level, projection, config, params, n_steps,
-                         work.steps_rejected, work.rhs_evals + len(timeseries), reason)
+                         work.steps_rejected, work.rhs_evals, reason)
 
     for t_target in targets:
         while t < t_target - 1e-12 * max(1.0, t_target):
@@ -454,9 +456,9 @@ def run(params: ModelParams, config: RunConfig, ic_u, ic_v) -> RunResult:
                     return finish(OUTCOME_BLOWUP, y, t, REASON_SUP)
 
         state = _unpack(y, config.n, t_target)
-        record = diagnostics(assembler, state, cert, level, res)
+        record = diagnostics(state, f, cert, level, res)
         timeseries.append(record)
-        snapshots.append(state.copy())
+        snapshots.append(state)
         if record.rhs_norm < config.steady_tol * (1.0 + _state_norm(state)):
             streak += 1
             if streak >= 2:
@@ -464,7 +466,7 @@ def run(params: ModelParams, config: RunConfig, ic_u, ic_v) -> RunResult:
         else:
             streak = 0
 
-    return finish(OUTCOME_TMAX, y, targets[-1] if targets else 0.0)
+    return finish(OUTCOME_TMAX, y, targets[-1])
 
 
 def _state_norm(state: SpectralState) -> float:

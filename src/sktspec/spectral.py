@@ -33,14 +33,12 @@ import numpy as np
 
 __all__ = [
     "DOMAIN_LENGTH",
-    "DOMAIN_AREA",
     "Basis",
     "SpectralState",
     "TripleTensors",
     "midpoint_nodes",
     "laplacian_eigenvalues",
     "synthesize",
-    "synthesize_one",
     "analyze",
     "build_tensors",
     "quadrature_oracle",
@@ -48,7 +46,6 @@ __all__ = [
 ]
 
 DOMAIN_LENGTH = np.pi
-DOMAIN_AREA = np.pi ** 2
 
 
 def midpoint_nodes(resolution: int) -> np.ndarray:
@@ -98,10 +95,6 @@ class Basis:
         gy = eta[j] * np.cos(j * x) * (-k) * eta[k] * np.sin(k * y)
         return gx, gy
 
-    def eigenvalue(self, j: int, k: int) -> int:
-        """-lap phi_{j,k} = (j^2 + k^2) phi_{j,k}."""
-        return j * j + k * k
-
 
 def laplacian_eigenvalues(n: int) -> np.ndarray:
     """Flat (n+1)^2 vector of j^2 + k^2 in row-major (j, k) order."""
@@ -137,18 +130,10 @@ class SpectralState:
         return cls(np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1)), t)
 
 
-def synthesize_one(mu: np.ndarray, resolution: int) -> np.ndarray:
-    """Evaluate one coefficient array on the midpoint grid; result[ix, iy]."""
-    mu = np.asarray(mu, dtype=float)
-    n = mu.shape[0] - 1
-    if resolution < n + 1:
-        raise ValueError(f"synthesis grid {resolution} too coarse for order {n}")
-    table = Basis(n).cos_table(midpoint_nodes(resolution))
-    return table.T @ mu @ table
-
-
 def synthesize(state: SpectralState, resolution: int):
     """Both species' fields on the midpoint grid; each indexed [ix, iy]."""
+    if resolution < state.n + 1:
+        raise ValueError(f"synthesis grid {resolution} too coarse for order {state.n}")
     table = Basis(state.n).cos_table(midpoint_nodes(resolution))
     return table.T @ state.mu1 @ table, table.T @ state.mu2 @ table
 

@@ -69,6 +69,22 @@ def test_check_missing_file(capsys, tmp_path):
     assert "nope.json" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{missing}"],
+    ["certify", "{missing}"],
+    ["run", "{missing}", "--out", "{out}"],
+    ["sweep", "{missing}", "--out", "{out}"],
+    ["run", "case1", "--ic", "@{missing}", "--out", "{out}"],
+    ["sweep", "case1", "--snapshot-dt", "0", "--out", "{out}"],
+], ids=["check", "certify", "run", "sweep", "run-ic-file", "sweep-snapshot-dt"])
+def test_bad_input_exits_one_with_an_error_line(capsys, tmp_path, argv):
+    paths = {"missing": tmp_path / "nope.json", "out": tmp_path / "out"}
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_check_params_flag_beats_positional(capsys, tmp_path):
     path = write_params(tmp_path, "own.json", d1=0.015)
     code, out, _ = run_cli(capsys, "check", "case2", "--params", path)

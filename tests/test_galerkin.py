@@ -10,7 +10,6 @@ from sktspec.galerkin import (
     ic_coefficients,
     ic_field,
     project_initial,
-    rhs,
     rhs_oracle,
 )
 from sktspec.model import ModelParams, coexistence_steady_state, preset, reactions
@@ -97,12 +96,12 @@ def test_rhs_oracle_insensitive_to_extra_resolution(case1, rng):
     assert np.allclose(a2, b2, atol=1e-13)
 
 
-def test_module_rhs_wraps_method(case2, rng):
+def test_rhs_method_unpacks_rhs_flat(case2, rng):
     asm = RhsAssembler.for_order(case2, 3)
     state = random_state(rng, 3)
-    d1, d2 = rhs(asm, state)
-    e1, e2 = asm.rhs(state)
-    assert np.array_equal(d1, e1) and np.array_equal(d2, e2)
+    d1, d2 = asm.rhs(state)
+    dy = asm.rhs_flat(np.concatenate([state.mu1.ravel(), state.mu2.ravel()]))
+    assert np.array_equal(np.concatenate([d1.ravel(), d2.ravel()]), dy)
 
 
 def params_strategy():

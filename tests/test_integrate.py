@@ -10,6 +10,7 @@ from sktspec.galerkin import RhsAssembler, project_initial
 from sktspec.integrate import (
     RunConfig,
     StepUnderflow,
+    _attempt,
     _block_exp,
     diagnostics,
     fd_reference,
@@ -36,6 +37,10 @@ def constant_state(n, u, v):
     mu1[0, 0] = u * np.pi
     mu2[0, 0] = v * np.pi
     return SpectralState(mu1, mu2, 0.0)
+
+
+def pack(state):
+    return np.concatenate([state.mu1.ravel(), state.mu2.ravel()])
 
 
 def test_step_near_fixed_point_is_inert(case1):
@@ -211,10 +216,83 @@ def test_case2_settles_in_few_steps(case2):
     assert result.n_steps <= 400
     u, v = synthesize(result.final_state, 36)
     assert max(np.abs(u - 1.05).max(), np.abs(v - 0.8).max()) < 1e-3
-    # Six rhs calls per attempt, one more for the run's first stage and one
-    # per diagnostics record.
+    # Six rhs calls per attempt and one for the initial state; the
+    # diagnostics records reuse the stepper's derivative.
     attempts = result.n_steps + result.steps_rejected
-    assert result.rhs_evals == 6 * attempts + 1 + len(result.timeseries)
+    assert result.rhs_evals == 6 * attempts + 1
+
+
+@pytest.mark.parametrize("name, config, shape", [
+    ("case1", RunConfig(n=4, t_max=3.0, snapshot_dt=0.5), "A"),
+    ("case2", RunConfig(n=4), "C"),
+], ids=["case1", "case2"])
+def test_timeseries_matches_fresh_rhs_at_each_snapshot(name, config, shape):
+    p = preset(name)
+    result = run(p, config, SWEEP_SHAPES[shape], SWEEP_SHAPES[shape])
+    assert len(result.timeseries) == len(result.snapshots) > 2
+    asm = RhsAssembler.for_order(p, config.n)
+    for record, state in zip(result.timeseries, result.snapshots):
+        assert record == diagnostics(state, asm.rhs_flat(pack(state)), result.cert, result.level)
+
+
+# Dormand-Prince 5(4): nodes, stage weights, 5th-order minus 4th-order weights.
+DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+DP_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+
+
+def lawson_dp5_reference(asm, L, y, h):
+    """One Lawson DP5 step, mode by mode: Y_i = e^{c_i hL} y + h sum_j a_ij
+    e^{(c_i - c_j) hL} N_j, new state Y_6, error h sum_j e_j e^{(1 - c_j) hL} N_j."""
+    w = y.shape[1]
+    modes = [(j, k) for j in range(w) for k in range(w)]
+
+    def nonlinear(Y):
+        F = asm.rhs_flat(Y.ravel()).reshape(Y.shape)
+        return F - np.einsum("rsjk,sjk->rjk", L, Y), F
+
+    def factor(theta, j, k):
+        return expm_taylor(theta * h * L[:, :, j, k])
+
+    N = [nonlinear(y)[0]]
+    for i in range(1, 7):
+        Y = np.zeros_like(y)
+        for j, k in modes:
+            Y[:, j, k] = factor(DP_C[i], j, k) @ y[:, j, k]
+            for s in range(i):
+                Y[:, j, k] += h * DP_A[i][s] * (factor(DP_C[i] - DP_C[s], j, k) @ N[s][:, j, k])
+        n_i, F = nonlinear(Y)
+        N.append(n_i)
+    err = np.zeros_like(y)
+    for j, k in modes:
+        for s in range(7):
+            err[:, j, k] += h * DP_E[s] * (factor(1.0 - DP_C[s], j, k) @ N[s][:, j, k])
+    return Y, err, F, N[0]
+
+
+@pytest.mark.parametrize("h", [0.1, 0.5])
+def test_attempt_matches_plain_lawson_dp5(case2, rng, h):
+    # Pins every factor of the tableau, the error row's e^{(1 - c_j) hL}
+    # included: the step's accuracy alone does not see a wrong error row.
+    n = 2
+    asm = RhsAssembler.for_order(case2, n)
+    y = pack(constant_state(n, *coexistence_steady_state(case2)))
+    y += 0.05 * rng.normal(size=y.size)
+    L = asm.linear_blocks(y)
+    y2 = y.reshape(L.shape[1:])
+    ref_y, ref_err, ref_f, n1 = lawson_dp5_reference(asm, L, y2, h)
+    y_new, err, f = _attempt(asm.rhs_flat, L, y2, n1, h)
+    for got, want, tol in ((y_new, ref_y, 1e-12), (f, ref_f, 1e-12), (err, ref_err, 1e-6)):
+        want = want.ravel()
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 def test_run_reaches_steady_state(case1):
@@ -337,7 +415,8 @@ def test_run_config_validation():
 def test_diagnostics_reference_values(case1):
     asm = RhsAssembler.for_order(case1, 4)
     cert = LyapunovCert(lam=2.0, mu=1.0, K=math.sqrt(2.0))
-    rec = diagnostics(asm, constant_state(4, 1.0, 1.0), cert, level=0.0)
+    state = constant_state(4, 1.0, 1.0)
+    rec = diagnostics(state, asm.rhs_flat(pack(state)), cert, level=0.0)
     assert rec.max_H == pytest.approx(2.5, rel=1e-12)
     assert rec.mass_u == pytest.approx(np.pi**2, rel=1e-12)
     assert rec.mass_v == pytest.approx(np.pi**2, rel=1e-12)
@@ -346,7 +425,8 @@ def test_diagnostics_reference_values(case1):
     assert rec.L_value == pytest.approx(0.5 * 2.5**2 * np.pi**2, rel=1e-10)
     assert rec.rhs_norm > 0
 
-    empty = diagnostics(asm, constant_state(4, 0.0, 0.0))
+    zero = constant_state(4, 0.0, 0.0)
+    empty = diagnostics(zero, asm.rhs_flat(pack(zero)))
     assert empty.max_H == 0.0 and empty.L_value == 0.0
     assert empty.rhs_norm == 0.0 and empty.mass_u == 0.0
     assert set(rec.to_dict()) == {

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sktspec.spectral import (
-    DOMAIN_AREA,
     Basis,
     SpectralState,
     analyze,
@@ -16,7 +15,6 @@ from sktspec.spectral import (
     quadrature_oracle,
     quadrature_tables,
     synthesize,
-    synthesize_one,
 )
 
 
@@ -62,14 +60,15 @@ def test_synthesize_constant_mode():
     n = 3
     mu = np.zeros((n + 1, n + 1))
     mu[0, 0] = np.pi  # constant field 1
-    field = synthesize_one(mu, 10)
-    assert np.abs(field - 1.0).max() < 1e-14
+    u, v = synthesize(SpectralState(mu, 2.0 * mu), 10)
+    assert np.abs(u - 1.0).max() < 1e-14
+    assert np.abs(v - 2.0).max() < 1e-14
 
 
 def test_synthesis_resolution_guard():
-    mu = np.zeros((5, 5))
-    with pytest.raises(ValueError):
-        synthesize_one(mu, 4)
+    with pytest.raises(ValueError, match="too coarse"):
+        synthesize(SpectralState.zeros(4), 4)
+    synthesize(SpectralState.zeros(4), 5)
     with pytest.raises(ValueError, match="resolution too low"):
         analyze(np.zeros((8, 8)), 4)
 
@@ -77,10 +76,11 @@ def test_synthesis_resolution_guard():
 @given(st.integers(0, 6), st.integers(0, 3))
 def test_round_trip_band_limited(n, seed):
     rng = np.random.default_rng(seed)
-    mu = rng.normal(size=(n + 1, n + 1))
+    state = SpectralState(rng.normal(size=(n + 1, n + 1)), rng.normal(size=(n + 1, n + 1)))
     res = 2 * (n + 1)
-    back = analyze(synthesize_one(mu, res), n)
-    assert np.abs(back - mu).max() < 1e-12 * max(1.0, np.abs(mu).max())
+    for mu, field in zip((state.mu1, state.mu2), synthesize(state, res)):
+        back = analyze(field, n)
+        assert np.abs(back - mu).max() < 1e-12 * max(1.0, np.abs(mu).max())
 
 
 def test_state_shape_checks():
@@ -143,17 +143,6 @@ def test_stiffness_eigen_identity(ja, ka, jb, kb, jc, kc):
     lhs = entry(4, "stiff", A, B, C)
     rhs = 0.5 * (eig(B) + eig(C) - eig(A)) * entry(4, "mass", A, B, C)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_synthesize_pair_matches_single(rng):
-    st_ = SpectralState(rng.normal(size=(5, 5)), rng.normal(size=(5, 5)))
-    u, v = synthesize(st_, 16)
-    assert np.array_equal(u, synthesize_one(st_.mu1, 16))
-    assert np.array_equal(v, synthesize_one(st_.mu2, 16))
-
-
-def test_domain_area():
-    assert DOMAIN_AREA == pytest.approx(np.pi**2)
 
 
 def test_contraction_against_dense(rng):
