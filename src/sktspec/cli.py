@@ -4,7 +4,7 @@ Subcommands
     check    print the condition report JSON (exit 0 when the homogenization
              conditions apply, 2 when not, 1 on bad input)
     certify  search for certificate weights (exit 0 feasible, 2 infeasible)
-    run      integrate one initial condition and write snapshots + manifest
+    run      integrate one initial condition; write manifest.json + snapshots.npy
              (exit 0 steady/t_max, 3 blow-up, 4 step budget, 1 bad config)
     sweep    the nine-initial-condition grid, run in order (worst run
              decides the exit code)
@@ -208,7 +208,7 @@ def cmd_sweep(args) -> int:
             save_run(result, os.path.join(args.out, f"u{lu}_v{lv}"))
             rows.append(((lu, lv), result, _sweep_deviation(result, equilibrium)))
         except Exception as exc:  # partial results stay on disk
-            failures.append(((lu, lv), exc))
+            failures.append({"u_ic": lu, "v_ic": lv, "error": str(exc)})
 
     summary = []
     print(f"{'u_ic':>4} {'v_ic':>4} {'outcome':>22} {'max_deviation':>14} {'t_end':>8}")
@@ -218,13 +218,13 @@ def cmd_sweep(args) -> int:
         summary.append({"u_ic": lu, "v_ic": lv, "outcome": result.outcome,
                         "max_deviation": dev, "t_end": result.final_state.t,
                         "out_dir": f"u{lu}_v{lv}"})
-    for (lu, lv), exc in failures:
-        print(f"{lu:>4} {lv:>4} {'failed':>22} {exc}")
+    for fail in failures:
+        print(f"{fail['u_ic']:>4} {fail['v_ic']:>4} {'failed':>22} {fail['error']}")
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep_manifest.json"), "w") as fh:
-        json.dump({"params": params_to_dict(p), "config": config.to_dict(),
-                   "runs": summary}, fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump({"params": params_to_dict(p), "config": config.to_dict(), "runs": summary,
+                   "failures": failures}, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     if failures:

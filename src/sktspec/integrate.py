@@ -16,9 +16,10 @@ step_budget_exhausted, and count accepted steps, rejected attempts and rhs
 evaluations.  A run evaluates the rhs once at the initial state and then
 only inside step attempts: every snapshot time is a step end, so the
 diagnostics there read the derivative the stepper already holds, and
-rhs_evals = 6 * (accepted + rejected) + 1.  A flux-form finite-volume
-solver on the same domain provides an independent reference
-discretization.
+rhs_evals = 6 * (accepted + rejected) + 1.  save_run writes a run directory:
+manifest.json and snapshots.npy, every snapshot's exact coefficients, which
+load_snapshots reads back as states.  A flux-form finite-volume solver on the
+same domain provides an independent reference discretization.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ __all__ = [
     "run",
     "diagnostics",
     "fd_reference",
-    "write_snapshot",
-    "read_snapshot",
     "save_run",
+    "load_snapshots",
 ]
 
 OUTCOME_STEADY = "steady_state"
@@ -496,10 +496,22 @@ def _fd_rhs(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):
     return du, dv
 
 
+# The fd step bound keeps this margin below RK4's limit on the negative real
+# axis, about -2.785 (Hairer & Wanner, Solving ODEs II, IV.2).
+_FD_SAFETY = 0.9
+
+
 def _fd_stability_dt(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float) -> float:
+    """RK4 step bound 0.9 * 2.785/8 * h^2 / max rho over the grid.
+
+    The frozen-coefficient 5-point Neumann Laplacian has eigenvalues in
+    [-8/h^2, 0]; rho = (Pu + Qv + sqrt((Pu - Qv)^2 + 4 Pv Qu))/2 is the
+    spectral radius of the diffusion matrix [[Pu, Pv], [Qu, Qv]] (the abs
+    keeps it finite if a field turns negative).
+    """
     fc = flux_coeffs(p, u, v)
-    peak = max(float(np.max(fc.Pu)), float(np.max(fc.Qv)))
-    return 0.2 * h * h / peak
+    rho = 0.5 * (fc.Pu + fc.Qv + np.sqrt(np.abs((fc.Pu - fc.Qv) ** 2 + 4.0 * fc.Pv * fc.Qu)))
+    return _FD_SAFETY * 2.785 / 8.0 * h * h / float(np.max(rho))
 
 
 def fd_reference(params: ModelParams, u0: np.ndarray, v0: np.ndarray, N: int,
@@ -507,9 +519,9 @@ def fd_reference(params: ModelParams, u0: np.ndarray, v0: np.ndarray, N: int,
     """Flux-form finite-volume reference solution on an N x N midpoint grid.
 
     Second-order central differences with arithmetic-mean face coefficients,
-    zero-flux boundary faces, explicit RK4 in time.  dt defaults to half the
-    explicit stability estimate 0.2 h^2 / max(Pu, Qv) from the initial fields
-    and is re-validated against the current fields during the run.
+    zero-flux boundary faces, explicit RK4 in time.  dt defaults to the
+    _fd_stability_dt bound at the initial fields; every 25 steps the current
+    fields are checked against RK4's limit (the bound without its margin).
     """
     if N < 16:
         raise ValueError(f"grid must be at least 16, got {N}")
@@ -522,7 +534,7 @@ def fd_reference(params: ModelParams, u0: np.ndarray, v0: np.ndarray, N: int,
     h = np.pi / N
     bound = _fd_stability_dt(params, u, v, h)
     if dt is None:
-        dt = 0.5 * bound
+        dt = bound
     elif dt > bound:
         raise ValueError(f"dt = {dt} violates the explicit stability bound {bound}")
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
@@ -532,7 +544,7 @@ def fd_reference(params: ModelParams, u0: np.ndarray, v0: np.ndarray, N: int,
         if step % 25 == 0:
             if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
                 raise RuntimeError(f"finite-volume state lost finiteness at step {step}")
-            if dt > _fd_stability_dt(params, u, v, h):
+            if _FD_SAFETY * dt > _fd_stability_dt(params, u, v, h):
                 raise RuntimeError(
                     f"explicit stability bound violated mid-run at step {step} (flux growth)")
         k1u, k1v = _fd_rhs(params, u, v, h)
@@ -544,41 +556,17 @@ def fd_reference(params: ModelParams, u0: np.ndarray, v0: np.ndarray, N: int,
     return u, v
 
 
-def write_snapshot(path, t: float, n: int, field: np.ndarray) -> None:
-    """Headered text grid; rows run over y, columns over x."""
-    field = np.asarray(field)
-    N = field.shape[0]
-    with open(path, "w") as fh:
-        fh.write(f"t={t!r} n={n} grid={N}\n")
-        for iy in range(N):
-            fh.write(" ".join("%.17g" % val for val in field[:, iy]))
-            fh.write("\n")
+def save_run(result: RunResult, out_dir) -> dict:
+    """Write snapshots.npy plus a manifest JSON; returns the manifest.
 
-
-def read_snapshot(path):
-    """Inverse of write_snapshot: returns (t, n, field[ix, iy])."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        meta = dict(item.split("=", 1) for item in header)
-        rows = np.loadtxt(fh, ndmin=2)
-    return float(meta["t"]), int(meta["n"]), rows.T
-
-
-def save_run(result: RunResult, out_dir, resolution: Optional[int] = None) -> dict:
-    """Write per-snapshot grids plus a manifest JSON; returns the manifest.
-
-    Output is deterministic: no timestamps, floats serialized by repr, files
-    named by snapshot index.
+    snapshots.npy holds every snapshot's (mu1, mu2) as one float64 array of
+    shape (snapshots, 2, n+1, n+1); manifest snapshot entry i gives the time
+    of row i.  Output is deterministic: no timestamps, floats serialized by
+    repr, and np.save writes a fixed header and the raw data.
     """
-    res = resolution if resolution is not None else 4 * (result.config.n + 1)
     os.makedirs(out_dir, exist_ok=True)
-    snapshot_entries = []
-    for idx, state in enumerate(result.snapshots):
-        u, v = synthesize(state, res)
-        names = (f"u_{idx:04d}.txt", f"v_{idx:04d}.txt")
-        write_snapshot(os.path.join(out_dir, names[0]), state.t, state.n, u)
-        write_snapshot(os.path.join(out_dir, names[1]), state.t, state.n, v)
-        snapshot_entries.append({"t": state.t, "u": names[0], "v": names[1]})
+    np.save(os.path.join(out_dir, "snapshots.npy"),
+            np.stack([(state.mu1, state.mu2) for state in result.snapshots]))
 
     manifest = {
         "params": params_to_dict(result.params),
@@ -594,9 +582,17 @@ def save_run(result: RunResult, out_dir, resolution: Optional[int] = None) -> di
         "certificate": result.cert.to_dict() if result.cert is not None else None,
         "projection": result.projection.to_dict(),
         "timeseries": [rec.to_dict() for rec in result.timeseries],
-        "snapshots": snapshot_entries,
+        "snapshots": [{"t": state.t, "index": i} for i, state in enumerate(result.snapshots)],
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return manifest
+
+
+def load_snapshots(run_dir) -> list:
+    """The snapshot states of a run directory written by save_run, in order."""
+    with open(os.path.join(run_dir, "manifest.json")) as fh:
+        entries = json.load(fh)["snapshots"]
+    coeffs = np.load(os.path.join(run_dir, "snapshots.npy"))
+    return [SpectralState(coeffs[e["index"], 0], coeffs[e["index"], 1], e["t"]) for e in entries]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sktspec import cli
 from sktspec.cli import SWEEP_SHAPES, main, parse_ic
 from sktspec.model import PRESETS
 
@@ -143,7 +144,10 @@ def test_run_writes_manifest(capsys, tmp_path):
     assert payload["out_dir"] == str(out_dir)
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["outcome"] == "t_max_reached"
-    assert (out_dir / manifest["snapshots"][0]["u"]).exists()
+    coeffs = np.load(out_dir / "snapshots.npy")
+    assert coeffs.shape == (len(manifest["timeseries"]), 2, 3, 3)
+    assert coeffs.dtype == np.float64
+    assert not list(out_dir.glob("*.txt"))
 
 
 def test_run_separate_species_ics(capsys, tmp_path):
@@ -319,3 +323,32 @@ def test_sweep_manifest_is_strict_json_without_equilibrium(capsys, tmp_path):
     for entry in manifest["runs"]:
         json.loads((out_dir / entry["out_dir"] / "manifest.json").read_text(),
                    parse_constant=reject)
+
+
+def test_sweep_records_failed_cells(capsys, tmp_path, monkeypatch):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    args = ("sweep", "case1", "--n", "2", "--tmax", "1.0")
+    code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "clean"))
+    assert code == 0
+    clean = json.loads((tmp_path / "clean" / "sweep_manifest.json").read_text())
+    assert clean["failures"] == []
+
+    real_run = cli.run
+
+    def failing_run(p, config, ic_u, ic_v):
+        if ic_u is SWEEP_SHAPES["B"] and ic_v is SWEEP_SHAPES["C"]:
+            raise RuntimeError("cell B/C failed on purpose")
+        return real_run(p, config, ic_u, ic_v)
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    out_dir = tmp_path / "sweep"
+    code, out, _ = run_cli(capsys, *args, "--out", str(out_dir))
+    assert code == 1
+    assert "cell B/C failed on purpose" in out
+    manifest = json.loads((out_dir / "sweep_manifest.json").read_text(), parse_constant=reject)
+    assert len(manifest["runs"]) == 8
+    assert ("B", "C") not in {(r["u_ic"], r["v_ic"]) for r in manifest["runs"]}
+    assert manifest["failures"] == [
+        {"u_ic": "B", "v_ic": "C", "error": "cell B/C failed on purpose"}]

@@ -14,11 +14,10 @@ from sktspec.integrate import (
     _block_exp,
     diagnostics,
     fd_reference,
-    read_snapshot,
+    load_snapshots,
     run,
     save_run,
     step_adaptive,
-    write_snapshot,
 )
 from sktspec.lyapunov import LyapunovCert, eval_H
 from sktspec.model import coexistence_steady_state, params_from_dict, preset
@@ -470,15 +469,41 @@ def test_fd_reference_constant_state_is_fixed(case1):
     assert np.abs(v - eq[1]).max() < 1e-12
 
 
-def test_snapshot_round_trip(tmp_path, rng):
-    field = rng.normal(size=(7, 7))
-    path = tmp_path / "snap.txt"
-    write_snapshot(path, 1.25, 6, field)
-    first = path.read_text().splitlines()[0]
-    assert first == "t=1.25 n=6 grid=7"
-    t, n, back = read_snapshot(path)
-    assert (t, n) == (1.25, 6)
-    assert np.array_equal(back, field)
+def test_fd_reference_bound_covers_cross_diffusion(rng):
+    # Cross-diffusion b11 = b22 = 0.09 at u = v ~ 1 nearly doubles the
+    # spectral radius of [[Pu, Pv], [Qu, Qv]] over max(Pu, Qv) = 0.1 and keeps
+    # the system parabolic (det > 0).
+    p = params_from_dict(dict(PURE_DIFFUSION, d1=0.1, d2=0.1, b11=0.09, b22=0.09))
+    N = 16
+    h = np.pi / N
+    u0 = 1.0 + 0.01 * rng.standard_normal((N, N))
+    v0 = 1.0 + 0.01 * rng.standard_normal((N, N))
+    rho = 0.1 + 0.09 * np.sqrt(u0 * v0)
+    assert rho.max() / 0.1 > 1.85
+    # At the old limit 0.2 h^2 / max(Pu, Qv), RK4's amplification on the
+    # stiffest grid mode, z = -8 dt rho / h^2, exceeds 1: that step is unstable.
+    old_dt = 0.2 * h * h / 0.1
+    z = -8.0 * old_dt * rho.max() / (h * h)
+    assert 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24 > 1.4
+    with pytest.raises(ValueError, match="stability"):
+        fd_reference(p, u0, v0, N, t_end=50 * old_dt, dt=old_dt)
+    # The default dt is stable: the perturbation shrinks, the mean stays.
+    u, v = fd_reference(p, u0, v0, N, t_end=50 * old_dt)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+    assert np.ptp(u) < 0.5 * np.ptp(u0) and np.ptp(v) < 0.5 * np.ptp(v0)
+    assert abs(u.mean() - u0.mean()) < 1e-12 and abs(v.mean() - v0.mean()) < 1e-12
+
+
+def test_snapshot_round_trip(case1, tmp_path):
+    result = run(case1, RunConfig(n=3, t_max=1.0, snapshot_dt=0.25),
+                 SWEEP_SHAPES["C"], SWEEP_SHAPES["A"])
+    save_run(result, tmp_path)
+    loaded = load_snapshots(tmp_path)
+    assert len(loaded) == len(result.snapshots) == 5
+    for back, state in zip(loaded, result.snapshots):
+        assert back.t == state.t
+        assert np.array_equal(back.mu1, state.mu1)
+        assert np.array_equal(back.mu2, state.mu2)
 
 
 def test_save_run_manifest_and_determinism(case1, tmp_path):
@@ -499,22 +524,32 @@ def test_save_run_manifest_and_determinism(case1, tmp_path):
     assert manifest["steps_rejected"] == result.steps_rejected
     assert manifest["rhs_evals"] == result.rhs_evals > 6 * result.n_steps
     assert manifest["outcome"] == result.outcome
-    assert len(manifest["snapshots"]) == len(result.snapshots)
-    for entry in manifest["snapshots"]:
-        assert (out1 / entry["u"]).exists()
-        assert (out1 / entry["v"]).exists()
+    assert manifest["snapshots"] == [{"t": s.t, "index": i} for i, s in enumerate(result.snapshots)]
+    assert sorted(p.name for p in out1.iterdir()) == ["manifest.json", "snapshots.npy"]
 
     on_disk = json.loads((out1 / "manifest.json").read_text())
     assert on_disk == manifest
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
-    for entry in manifest["snapshots"]:
-        assert (out1 / entry["u"]).read_bytes() == (out2 / entry["u"]).read_bytes()
+    assert (out1 / "snapshots.npy").read_bytes() == (out2 / "snapshots.npy").read_bytes()
 
-    # snapshot grids agree with direct synthesis of the stored states
-    t0, n0, grid = read_snapshot(out1 / manifest["snapshots"][0]["u"])
-    assert n0 == config.n
-    u0, _ = synthesize(result.snapshots[0], 4 * (config.n + 1))
-    assert np.array_equal(grid, u0)
+    # fields of the saved states agree with direct synthesis of the run's states
+    res = 4 * (config.n + 1)
+    saved = synthesize(load_snapshots(out1)[0], res)
+    direct = synthesize(result.snapshots[0], res)
+    assert np.array_equal(saved[0], direct[0]) and np.array_equal(saved[1], direct[1])
+
+
+def test_saved_snapshots_give_the_manifest_extrema(case1, tmp_path):
+    config = RunConfig(n=4, t_max=2.0, snapshot_dt=0.5)
+    result = run(case1, config, SWEEP_SHAPES["C"], SWEEP_SHAPES["B"])
+    manifest = save_run(result, tmp_path)
+    states = load_snapshots(tmp_path)
+    assert len(states) == len(manifest["timeseries"]) == 5
+    for state, record in zip(states, manifest["timeseries"]):
+        u, v = synthesize(state, 4 * (config.n + 1))
+        assert state.t == record["t"]
+        assert (float(u.min()), float(u.max())) == (record["min_u"], record["max_u"])
+        assert (float(v.min()), float(v.max())) == (record["min_v"], record["max_v"])
 
 
 def test_run_summary_shape(case1):
