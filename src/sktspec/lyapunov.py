@@ -15,6 +15,7 @@ a sampled sign check of H_u*f + H_v*g on superlevel sets of H.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -96,10 +97,17 @@ class HDerivatives(NamedTuple):
     Hvv: float
 
 
+def _H(cert: LyapunovCert, u, v):
+    return 0.5 * cert.lam * u * u + u * v + 0.5 * cert.mu * v * v
+
+
+def _grad_H(cert: LyapunovCert, u, v):
+    return cert.lam * u + v, u + cert.mu * v
+
+
 def eval_H(cert: LyapunovCert, u, v) -> HDerivatives:
     """H and its first/second partials at (u, v); broadcasts over arrays."""
-    H = 0.5 * cert.lam * u * u + u * v + 0.5 * cert.mu * v * v
-    return HDerivatives(H, cert.lam * u + v, u + cert.mu * v, cert.lam, 1.0, cert.mu)
+    return HDerivatives(_H(cert, u, v), *_grad_H(cert, u, v), cert.lam, 1.0, cert.mu)
 
 
 def discriminants(p: ModelParams, cert: LyapunovCert):
@@ -219,6 +227,8 @@ def find_certificate(p: ModelParams, k_max: float = 2.0, grid_size: int = 41) ->
     """
     if not k_max > 1:
         raise ValueError(f"k_max must exceed 1, got {k_max}")
+    if not math.isfinite(k_max * k_max):
+        raise ValueError(f"k_max must be finite with a finite square, got {k_max}")
     if not p.alpha11 > p.alpha21:
         raise PreconditionError(
             f"certificate search requires alpha11 > alpha21 (got {p.alpha11} <= {p.alpha21})"
@@ -349,6 +359,21 @@ class SignReport:
         }
 
 
+@functools.lru_cache(maxsize=1)
+def _sign_samples(samples: int, seed: int):
+    """Log-spaced points over [1e-3, 1e3]^2, drawn once per (samples, seed).
+
+    Only the latest draw is kept; the arrays are read-only because every
+    caller shares them.
+    """
+    rng = np.random.default_rng(seed)
+    u = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
+    v = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
+    u.flags.writeable = False
+    v.flags.writeable = False
+    return u, v
+
+
 def check_reaction_sign(p: ModelParams, cert: LyapunovCert, level: float,
                         samples: int = 10_000, seed: int = 0) -> SignReport:
     """Sample H_u*f + H_v*g over {H > level} in the positive quadrant.
@@ -359,16 +384,15 @@ def check_reaction_sign(p: ModelParams, cert: LyapunovCert, level: float,
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    u = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
-    v = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
-    H, Hu, Hv, _, _, _ = eval_H(cert, u, v)
-    mask = H > level
+    u, v = _sign_samples(samples, seed)
+    mask = _H(cert, u, v) > level
     n_eval = int(np.count_nonzero(mask))
     if n_eval == 0:
         return SignReport(level, samples, 0, 0.0, 0.0, phi_coefficients(p, cert), seed)
-    f, g = reactions(p, u[mask], v[mask])
-    value = Hu[mask] * f + Hv[mask] * g
+    u, v = u[mask], v[mask]
+    Hu, Hv = _grad_H(cert, u, v)
+    f, g = reactions(p, u, v)
+    value = Hu * f + Hv * g
     violating = value > 0.0
     n_bad = int(np.count_nonzero(violating))
     worst = float(value[violating].max()) if n_bad else 0.0

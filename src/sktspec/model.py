@@ -14,10 +14,11 @@ standard numbering for this model family and are part of the JSON interface.
 
 from __future__ import annotations
 
+import decimal
 import json
+import math
 from dataclasses import dataclass, fields
 from decimal import Decimal
-from fractions import Fraction
 from typing import NamedTuple
 
 __all__ = [
@@ -95,6 +96,10 @@ class ModelParams:
     b22: float
 
     def validate(self) -> "ModelParams":
+        for key in PARAM_KEYS:
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ParamsError(f"{key} must be finite, got {value!r}")
         if not self.d1 > 0:
             raise ParamsError(f"d1 must be > 0, got {self.d1!r}")
         if not self.d2 > 0:
@@ -106,10 +111,6 @@ class ModelParams:
         for key in ("alpha11", "alpha12", "alpha21", "alpha22", "b11", "b22"):
             if not getattr(self, key) >= 0:
                 raise ParamsError(f"{key} must be >= 0, got {getattr(self, key)!r}")
-        for key in PARAM_KEYS:
-            value = getattr(self, key)
-            if value != value or value in (float("inf"), float("-inf")):
-                raise ParamsError(f"{key} must be finite, got {value!r}")
         return self
 
 
@@ -280,55 +281,71 @@ class ConditionReport:
         }
 
 
-def _exact(x: float) -> Fraction:
+# +, - and * of finite decimals never round in this context, and an
+# operation that would round, overflow or be invalid raises instead.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.Overflow],
+)
+
+
+def _exact(x: float) -> Decimal:
     # repr() recovers the shortest decimal that round-trips the double, so
     # values entered as short decimals compare the way they were written:
     # 0.1 - 0.06 is exactly 0.04 here, and V1 == 0 is decidable.
-    return Fraction(Decimal(repr(float(x))))
+    return Decimal(repr(float(x)))
+
+
+def _float(x: Decimal) -> float:
+    # Correctly rounded.  An exact zero is 0.0 whatever its decimal sign
+    # (-0.0 input, a negative times zero); a negative value that rounds to
+    # zero stays -0.0.
+    return float(x) if x else 0.0
 
 
 def check_conditions(p: ModelParams) -> ConditionReport:
-    """Evaluate every condition group with exact rational arithmetic.
+    """Evaluate every condition group with exact decimal arithmetic.
 
     Strict and non-strict comparisons are taken literally; there is no epsilon
     slack, so equality edge cases (V1 == 0 and friends) are decided exactly on
     the supplied decimal values.
     """
     p.validate()
-    d1, d2 = _exact(p.d1), _exact(p.d2)
-    a11, a12 = _exact(p.alpha11), _exact(p.alpha12)
-    a21, a22 = _exact(p.alpha21), _exact(p.alpha22)
-    b11, b22 = _exact(p.b11), _exact(p.b22)
+    with decimal.localcontext(_EXACT):
+        d1, d2 = _exact(p.d1), _exact(p.d2)
+        a11, a12 = _exact(p.alpha11), _exact(p.alpha12)
+        a21, a22 = _exact(p.alpha21), _exact(p.alpha22)
+        b11, b22 = _exact(p.b11), _exact(p.b22)
 
-    diag_dominance = a11 * a22 + a12 * a21 - b11 * b22
-    A1 = a11 - a21          # self minus cross pressure, u equation
-    A2 = a22 - a12          # self minus cross pressure, v equation
-    V1 = A1 - b22
-    V2 = A2 - b11
+        diag_dominance = a11 * a22 + a12 * a21 - b11 * b22
+        A1 = a11 - a21          # self minus cross pressure, u equation
+        A2 = a22 - a12          # self minus cross pressure, v equation
+        V1 = A1 - b22
+        V2 = A2 - b11
 
-    c16_i = Inequality(diag_dominance >= 0, float(diag_dominance), 0.0)
-    c16_ii = Inequality(A2 > b11, float(A2), float(b11))
-    c16_iii = Inequality(A1 > b22, float(A1), float(b22))
-    c16 = c16_i.holds and c16_ii.holds and c16_iii.holds
+        c16_i = Inequality(diag_dominance >= 0, _float(diag_dominance), 0.0)
+        c16_ii = Inequality(A2 > b11, _float(A2), _float(b11))
+        c16_iii = Inequality(A1 > b22, _float(A1), _float(b22))
+        c16 = c16_i.holds and c16_ii.holds and c16_iii.holds
 
-    c17 = Inequality(
-        A1 > 0 and A2 > 0 and A1 * A2 > b11 * b22,
-        float(A1 * A2),
-        float(b11 * b22),
-    )
+        c17 = Inequality(
+            A1 > 0 and A2 > 0 and A1 * A2 > b11 * b22,
+            _float(A1 * A2),
+            _float(b11 * b22),
+        )
 
-    c18_value = diag_dominance
-    c18 = c18_value >= 0
+        c18_value = diag_dominance
+        c18 = c18_value >= 0
 
-    c19_i = (V1 == 0 and V2 != 0) or (V2 == 0 and V1 != 0)
-    c19_ii = V1 * V2 > 0
-    c19_iii = (d1 - d2) * (V2 - V1) * (A1 * A2 - b11 * b22) > 0
+        c19_i = (V1 == 0 and V2 != 0) or (V2 == 0 and V1 != 0)
+        c19_ii = V1 * V2 > 0
+        c19_iii = (d1 - d2) * (V2 - V1) * (A1 * A2 - b11 * b22) > 0
 
-    c21_i = (V1 == 0 and V2 > 0) or (V2 == 0 and V1 > 0)
-    c21_ii = A1 > b22 and A2 > b11
-    c21_iii = d1 > d2 and A1 > b22 and A2 < b11 and c17.holds
-    c21_iv = d1 < d2 and A1 < b22 and A2 > b11 and c17.holds
-    c21 = c21_i or c21_ii or c21_iii or c21_iv
+        c21_i = (V1 == 0 and V2 > 0) or (V2 == 0 and V1 > 0)
+        c21_ii = A1 > b22 and A2 > b11
+        c21_iii = d1 > d2 and A1 > b22 and A2 < b11 and c17.holds
+        c21_iv = d1 < d2 and A1 < b22 and A2 > b11 and c17.holds
+        c21 = c21_i or c21_ii or c21_iii or c21_iv
 
     return ConditionReport(
         cond_1_6_i=c16_i,
@@ -337,9 +354,9 @@ def check_conditions(p: ModelParams) -> ConditionReport:
         cond_1_6=c16,
         cond_1_7=c17,
         cond_1_8=c18,
-        cond_1_8_value=float(c18_value),
-        V1=float(V1),
-        V2=float(V2),
+        cond_1_8_value=_float(c18_value),
+        V1=_float(V1),
+        V2=_float(V2),
         cond_1_9_i=c19_i,
         cond_1_9_ii=c19_ii,
         cond_1_9_iii=c19_iii,

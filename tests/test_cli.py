@@ -77,7 +77,10 @@ def test_check_missing_file(capsys, tmp_path):
     ["sweep", "{missing}", "--out", "{out}"],
     ["run", "case1", "--ic", "@{missing}", "--out", "{out}"],
     ["sweep", "case1", "--snapshot-dt", "0", "--out", "{out}"],
-], ids=["check", "certify", "run", "sweep", "run-ic-file", "sweep-snapshot-dt"])
+    ["certify", "case1", "--kmax", "inf"],
+    ["certify", "case1", "--kmax", "1e200"],
+], ids=["check", "certify", "run", "sweep", "run-ic-file", "sweep-snapshot-dt",
+        "certify-kmax-inf", "certify-kmax-1e200"])
 def test_bad_input_exits_one_with_an_error_line(capsys, tmp_path, argv):
     paths = {"missing": tmp_path / "nope.json", "out": tmp_path / "out"}
     code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))

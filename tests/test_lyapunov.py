@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sktspec.lyapunov import (
     LyapunovCert,
     PreconditionError,
+    _sign_samples,
     certificate_for,
     check_reaction_sign,
     discriminants,
@@ -21,7 +22,7 @@ from sktspec.lyapunov import (
     phi_cubic,
     window_bounds,
 )
-from sktspec.model import params_from_dict
+from sktspec.model import params_from_dict, reactions
 
 BASE = dict(d1=0.1, d2=0.2, a1=1.0, b1=1.0, c1=0.5, a2=0.3, b2=0.5, c2=1.0,
             alpha11=1.0, alpha12=0.1, alpha21=0.2, alpha22=1.0, b11=0.1, b22=0.1)
@@ -101,6 +102,12 @@ def test_find_certificate_preconditions():
         find_certificate(make(alpha22=0.1, alpha12=0.2))
     with pytest.raises(ValueError, match="k_max"):
         find_certificate(make(), k_max=1.0)
+
+
+@pytest.mark.parametrize("k_max", [math.inf, 1e200])
+def test_find_certificate_rejects_unbounded_k_max(k_max):
+    with pytest.raises(ValueError, match="k_max"):
+        find_certificate(make(), k_max=k_max)
 
 
 def test_degenerate_gradient_weights_give_balanced_cert():
@@ -230,6 +237,45 @@ def test_reaction_sign_counts_violations(case2):
     # Case 2's mixed-sign cubic leaves a violating cone; the report records it
     assert 0.0 < rep.violation_fraction < 0.5
     assert rep.max_violation > 0.0
+
+
+def _fresh_sign_report(p, cert, level, samples, seed):
+    # Reference sampler: a fresh draw per call, every quantity evaluated on
+    # every point.
+    rng = np.random.default_rng(seed)
+    u = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
+    v = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
+    H, Hu, Hv, _, _, _ = eval_H(cert, u, v)
+    mask = H > level
+    n_eval = int(np.count_nonzero(mask))
+    f, g = reactions(p, u[mask], v[mask])
+    value = Hu[mask] * f + Hv[mask] * g
+    bad = value[value > 0.0]
+    return {
+        "phi_coeffs": list(phi_coefficients(p, cert)),
+        "violation_fraction": bad.size / n_eval if n_eval else 0.0,
+        "max_violation": float(bad.max()) if bad.size else 0.0,
+        "level": level,
+        "n_samples": samples,
+        "n_evaluated": n_eval,
+        "seed": seed,
+    }
+
+
+def test_reaction_sign_matches_a_fresh_draw(case1, case2):
+    # Alternating (samples, seed) pairs: a stale cached draw would fail.
+    for samples, seed in [(10_000, 0), (100, 3), (10_000, 0), (2_000, 7)]:
+        for p in (case1, case2):
+            cert = find_certificate(p)
+            for level in (100.0, 1e12):
+                got = check_reaction_sign(p, cert, level, samples=samples, seed=seed)
+                assert got.to_dict() == _fresh_sign_report(p, cert, level, samples, seed)
+
+
+def test_reaction_sign_samples_are_read_only():
+    for array in _sign_samples(100, 3):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 def test_eval_L_examples():

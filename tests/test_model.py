@@ -1,9 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sktspec.model import (
@@ -69,6 +70,13 @@ def test_validate_rejects_bad_values(key, value):
     d = dict(TABLE_CASE1)
     d[key] = value
     with pytest.raises(ParamsError, match=key):
+        params_from_dict(d)
+
+
+def test_validate_reports_non_finite_before_sign():
+    d = dict(TABLE_CASE1)
+    d["d1"] = math.nan
+    with pytest.raises(ParamsError, match="d1 must be finite"):
         params_from_dict(d)
 
 
@@ -192,3 +200,87 @@ def test_exact_decimal_reporting():
 def test_param_keys_complete():
     assert set(PARAM_KEYS) == set(TABLE_CASE1)
     assert set(PRESETS) == {"case1", "case2"}
+
+
+def _reference_conditions(p):
+    """The condition groups evaluated in Fraction arithmetic, in to_dict shape."""
+    def q(x):
+        return Fraction(repr(x))
+
+    def f(x):
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+
+    def side(holds, lhs, rhs):
+        return {"holds": holds, "lhs": f(lhs), "rhs": f(rhs)}
+
+    d1, d2 = q(p.d1), q(p.d2)
+    a11, a12, a21, a22 = q(p.alpha11), q(p.alpha12), q(p.alpha21), q(p.alpha22)
+    b11, b22 = q(p.b11), q(p.b22)
+    diag = a11 * a22 + a12 * a21 - b11 * b22
+    A1, A2 = a11 - a21, a22 - a12
+    V1, V2 = A1 - b22, A2 - b11
+    c17 = A1 > 0 and A2 > 0 and A1 * A2 > b11 * b22
+    c21 = {
+        "i": (V1 == 0 and V2 > 0) or (V2 == 0 and V1 > 0),
+        "ii": A1 > b22 and A2 > b11,
+        "iii": d1 > d2 and A1 > b22 and A2 < b11 and c17,
+        "iv": d1 < d2 and A1 < b22 and A2 > b11 and c17,
+    }
+    c21["holds"] = any(c21.values())
+    c16 = {"i": side(diag >= 0, diag, 0), "ii": side(A2 > b11, A2, b11),
+           "iii": side(A1 > b22, A1, b22)}
+    c16["holds"] = all(c16[k]["holds"] for k in ("i", "ii", "iii"))
+    return {
+        "cond_1_6": c16,
+        "cond_1_7": side(c17, A1 * A2, b11 * b22),
+        "cond_1_8": {"holds": diag >= 0, "value": f(diag)},
+        "V1": f(V1),
+        "V2": f(V2),
+        "cond_1_9": {
+            "i": (V1 == 0 and V2 != 0) or (V2 == 0 and V1 != 0),
+            "ii": V1 * V2 > 0,
+            "iii": (d1 - d2) * (V2 - V1) * (A1 * A2 - b11 * b22) > 0,
+        },
+        "cond_2_1": c21,
+        "theorem_2_2_applies": c21["holds"],
+    }
+
+
+def _bits(value):
+    # float.hex tells -0.0 from 0.0 and every other pair of distinct doubles.
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+# Short decimals make the ties (V1 == 0, A1*A2 == b11*b22) common; the log
+# draw and the subnormal range span the whole double range.
+_coefficient = st.one_of(
+    st.integers(0, 150).map(lambda k: k / 100),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-300, 299)),
+    st.floats(0.0, 1e300),
+    st.floats(0.0, 2.5e-308),
+)
+_positive = _coefficient.filter(lambda x: x > 0)
+
+
+@given(d1=_positive, d2=_positive, alpha11=_coefficient, alpha12=_coefficient,
+       alpha21=_coefficient, alpha22=_coefficient, b11=_coefficient, b22=_coefficient)
+@example(d1=0.01, d2=0.1, alpha11=0.1, alpha12=0.12, alpha21=0.06, alpha22=0.8,
+         b11=0.12, b22=0.04)                                   # V1 == 0
+@example(d1=0.2, d2=0.1, alpha11=0.1, alpha12=0.2, alpha21=0.06, alpha22=0.5,
+         b11=0.12, b22=0.1)                                    # A1*A2 == b11*b22
+@example(d1=5e-324, d2=1e300, alpha11=1e-320, alpha12=0.06, alpha21=1e300, alpha22=0.06,
+         b11=1e300, b22=5e-324)                                # overflow, -0.0 products
+@settings(max_examples=300)
+def test_conditions_match_fraction_reference(d1, d2, alpha11, alpha12, alpha21, alpha22,
+                                             b11, b22):
+    values = dict(TABLE_CASE1, d1=d1, d2=d2, alpha11=alpha11, alpha12=alpha12,
+                  alpha21=alpha21, alpha22=alpha22, b11=b11, b22=b22)
+    p = params_from_dict(values)
+    assert _bits(check_conditions(p).to_dict()) == _bits(_reference_conditions(p))
