@@ -15,7 +15,6 @@ a sampled sign check of H_u*f + H_v*g on superlevel sets of H.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -359,21 +358,6 @@ class SignReport:
         }
 
 
-@functools.lru_cache(maxsize=1)
-def _sign_samples(samples: int, seed: int):
-    """Log-spaced points over [1e-3, 1e3]^2, drawn once per (samples, seed).
-
-    Only the latest draw is kept; the arrays are read-only because every
-    caller shares them.
-    """
-    rng = np.random.default_rng(seed)
-    u = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
-    v = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
-    u.flags.writeable = False
-    v.flags.writeable = False
-    return u, v
-
-
 def check_reaction_sign(p: ModelParams, cert: LyapunovCert, level: float,
                         samples: int = 10_000, seed: int = 0) -> SignReport:
     """Sample H_u*f + H_v*g over {H > level} in the positive quadrant.
@@ -384,7 +368,9 @@ def check_reaction_sign(p: ModelParams, cert: LyapunovCert, level: float,
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    u, v = _sign_samples(samples, seed)
+    rng = np.random.default_rng(seed)
+    u = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
+    v = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
     mask = _H(cert, u, v) > level
     n_eval = int(np.count_nonzero(mask))
     if n_eval == 0:

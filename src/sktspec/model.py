@@ -299,8 +299,15 @@ def _exact(x: float) -> Decimal:
 def _float(x: Decimal) -> float:
     # Correctly rounded.  An exact zero is 0.0 whatever its decimal sign
     # (-0.0 input, a negative times zero); a negative value that rounds to
-    # zero stays -0.0.
-    return float(x) if x else 0.0
+    # zero stays -0.0.  A value beyond the double range raises, as
+    # float(Fraction) does, instead of turning into an infinity.
+    if not x:
+        return 0.0
+    value = float(x)
+    if math.isinf(value):
+        raise OverflowError(
+            f"condition value of order 1e{x.adjusted()} is beyond the double range")
+    return value
 
 
 def check_conditions(p: ModelParams) -> ConditionReport:

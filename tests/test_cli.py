@@ -79,10 +79,14 @@ def test_check_missing_file(capsys, tmp_path):
     ["sweep", "case1", "--snapshot-dt", "0", "--out", "{out}"],
     ["certify", "case1", "--kmax", "inf"],
     ["certify", "case1", "--kmax", "1e200"],
+    ["check", "{huge}"],
+    ["certify", "{huge}"],
 ], ids=["check", "certify", "run", "sweep", "run-ic-file", "sweep-snapshot-dt",
-        "certify-kmax-inf", "certify-kmax-1e200"])
+        "certify-kmax-inf", "certify-kmax-1e200", "check-huge", "certify-huge"])
 def test_bad_input_exits_one_with_an_error_line(capsys, tmp_path, argv):
-    paths = {"missing": tmp_path / "nope.json", "out": tmp_path / "out"}
+    # huge.json has condition sides beyond the double range.
+    paths = {"missing": tmp_path / "nope.json", "out": tmp_path / "out",
+             "huge": write_params(tmp_path, "huge.json", alpha11=1e300, alpha22=1e300)}
     code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
     assert err.startswith("error:")
