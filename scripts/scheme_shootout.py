@@ -17,8 +17,9 @@ import time
 import numpy as np
 
 from sktspec.galerkin import ic_field
-from sktspec.integrate import RunConfig, fd_reference, run
+from sktspec.integrate import RunConfig, run
 from sktspec.model import preset
+from sktspec.reference import fd_reference
 from sktspec.spectral import synthesize
 
 IC_U = {"type": "cosine", "offset": 0.5, "terms": [{"j": 1, "k": 1, "amp": 0.2}]}

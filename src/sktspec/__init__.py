@@ -7,7 +7,6 @@ from .integrate import (
     RunConfig,
     RunResult,
     diagnostics,
-    fd_reference,
     load_snapshots,
     run,
     save_run,
@@ -37,9 +36,7 @@ from .model import (
 from .spectral import (
     Basis,
     SpectralState,
-    TripleTensors,
     analyze,
-    build_tensors,
     synthesize,
 )
 
@@ -56,9 +53,7 @@ __all__ = [
     "RunResult",
     "SignReport",
     "SpectralState",
-    "TripleTensors",
     "analyze",
-    "build_tensors",
     "check_conditions",
     "check_reaction_sign",
     "coexistence_steady_state",
@@ -66,7 +61,6 @@ __all__ = [
     "eval_H",
     "eval_L",
     "eval_psi_forms",
-    "fd_reference",
     "find_certificate",
     "flux_coeffs",
     "load_snapshots",

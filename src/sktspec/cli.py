@@ -92,6 +92,8 @@ def _parse_ic_text(text: str):
     if kind == "cosine":
         if len(args) != 4:
             raise ValueError("cosine takes OFFSET,AMP,J,K")
+        if not (args[2].is_integer() and args[3].is_integer()):
+            raise ValueError(f"cosine wavenumbers J,K must be integers, got {args[2]}, {args[3]}")
         return {"type": "cosine", "offset": args[0],
                 "terms": [{"j": int(args[2]), "k": int(args[3]), "amp": args[1]}]}
     if kind == "gaussian":

@@ -10,7 +10,7 @@ part in the deviation, which it synthesizes, multiplies pointwise and
 projects on a midpoint grid fine enough to integrate it exactly.  rhs_oracle
 evaluates the whole weak form in one piece on a finer grid.  Tests check
 RhsAssembler against it and against the triple-product tensors of
-spectral.build_tensors.
+reference.build_tensors.
 """
 
 from __future__ import annotations
@@ -168,7 +168,8 @@ def check_ic(ic):
     """Return ic unchanged, or raise ValueError naming its first bad number.
 
     Every number of a descriptor (and every value of a grid field) must be
-    finite, and a Gaussian's sigma must be positive.
+    finite, a cosine term's wavenumbers j and k must be integers, and a
+    Gaussian's sigma must be positive.
     """
     if not isinstance(ic, dict):
         if not np.all(np.isfinite(np.asarray(ic, dtype=float))):
@@ -196,6 +197,8 @@ def check_ic(ic):
             raise ValueError(f"{kind} initial condition: {key} must be a number, got {raw!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"{kind} initial condition: {key} must be finite, got {value}")
+        if key.endswith((".j", ".k")) and (isinstance(raw, bool) or not value.is_integer()):
+            raise ValueError(f"{kind} initial condition: {key} must be an integer, got {raw!r}")
     if kind == "gaussian" and float(ic["sigma"]) <= 0.0:
         raise ValueError(f"gaussian initial condition: sigma must be > 0, got {float(ic['sigma'])}")
     return ic

@@ -1,4 +1,4 @@
-"""Adaptive time integration, run orchestration, and cross-validation solvers.
+"""Adaptive time integration and run orchestration.
 
 The coefficient ODE system y' = F(y) is split as y' = L y + N(y), with L the
 per-mode 2x2 linear blocks of RhsAssembler.linear_blocks frozen at the
@@ -18,8 +18,8 @@ only inside step attempts: every snapshot time is a step end, so the
 diagnostics there read the derivative the stepper already holds, and
 rhs_evals = 6 * (accepted + rejected) + 1.  save_run writes a run directory:
 manifest.json and snapshots.npy, every snapshot's exact coefficients, which
-load_snapshots reads back as states.  A flux-form finite-volume solver on the
-same domain provides an independent reference discretization.
+load_snapshots reads back as states.  The flux-form finite-volume solver
+that cross-checks these runs is reference.fd_reference.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .galerkin import RhsAssembler, project_initial
 from .lyapunov import LyapunovCert, PreconditionError, eval_H, eval_L, find_certificate
-from .model import ModelParams, check_conditions, flux_coeffs, params_to_dict, reactions
+from .model import ModelParams, check_conditions, params_to_dict
 from .spectral import SpectralState, synthesize
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "step_adaptive",
     "run",
     "diagnostics",
-    "fd_reference",
     "save_run",
     "load_snapshots",
 ]
@@ -356,17 +355,16 @@ class RunResult:
 
 
 def diagnostics(state: SpectralState, dy: np.ndarray,
-                cert: Optional[LyapunovCert] = None, level: float = 0.0,
-                resolution: Optional[int] = None) -> DiagnosticRecord:
+                cert: Optional[LyapunovCert] = None, level: float = 0.0) -> DiagnosticRecord:
     """Synthesized-field diagnostics at one instant.
 
     dy is the packed derivative [dmu1.ravel(), dmu2.ravel()] of the state,
     which a run already holds from its stepper.  Masses come from the
     constant mode (mu_00 * pi); extrema, max_H, and the level-set functional
-    L are read off the diagnostic grid (4(n+1) per axis by default); rhs_norm
+    L are read off the diagnostic grid of 4(n+1) points per axis; rhs_norm
     is the Frobenius norm of dy, summed per species.
     """
-    res = resolution if resolution is not None else 4 * (state.n + 1)
+    res = 4 * (state.n + 1)
     u, v = synthesize(state, res)
     d1, d2 = np.split(dy, 2)
     rhs_norm = math.sqrt(float(np.sum(d1 * d1) + np.sum(d2 * d2)))
@@ -456,7 +454,7 @@ def run(params: ModelParams, config: RunConfig, ic_u, ic_v) -> RunResult:
                     return finish(OUTCOME_BLOWUP, y, t, REASON_SUP)
 
         state = _unpack(y, config.n, t_target)
-        record = diagnostics(state, f, cert, level, res)
+        record = diagnostics(state, f, cert, level)
         timeseries.append(record)
         snapshots.append(state)
         if record.rhs_norm < config.steady_tol * (1.0 + _state_norm(state)):
@@ -471,89 +469,6 @@ def run(params: ModelParams, config: RunConfig, ic_u, ic_v) -> RunResult:
 
 def _state_norm(state: SpectralState) -> float:
     return math.sqrt(float(np.sum(state.mu1**2) + np.sum(state.mu2**2)))
-
-
-def _fd_divergence(cu: np.ndarray, cv: np.ndarray, u: np.ndarray, v: np.ndarray, h: float):
-    """div(cu*grad u + cv*grad v) on the midpoint grid with zero-flux faces."""
-    N = u.shape[0]
-    fx = (0.5 * (cu[1:, :] + cu[:-1, :]) * (u[1:, :] - u[:-1, :])
-          + 0.5 * (cv[1:, :] + cv[:-1, :]) * (v[1:, :] - v[:-1, :])) / h
-    fy = (0.5 * (cu[:, 1:] + cu[:, :-1]) * (u[:, 1:] - u[:, :-1])
-          + 0.5 * (cv[:, 1:] + cv[:, :-1]) * (v[:, 1:] - v[:, :-1])) / h
-    div = np.zeros_like(u)
-    div[:-1, :] += fx
-    div[1:, :] -= fx
-    div[:, :-1] += fy
-    div[:, 1:] -= fy
-    return div / h
-
-
-def _fd_rhs(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):
-    fc = flux_coeffs(p, u, v)
-    f, g = reactions(p, u, v)
-    du = _fd_divergence(fc.Pu, fc.Pv, u, v, h) + f
-    dv = _fd_divergence(fc.Qu, fc.Qv, u, v, h) + g
-    return du, dv
-
-
-# The fd step bound keeps this margin below RK4's limit on the negative real
-# axis, about -2.785 (Hairer & Wanner, Solving ODEs II, IV.2).
-_FD_SAFETY = 0.9
-
-
-def _fd_stability_dt(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float) -> float:
-    """RK4 step bound 0.9 * 2.785/8 * h^2 / max rho over the grid.
-
-    The frozen-coefficient 5-point Neumann Laplacian has eigenvalues in
-    [-8/h^2, 0]; rho = (Pu + Qv + sqrt((Pu - Qv)^2 + 4 Pv Qu))/2 is the
-    spectral radius of the diffusion matrix [[Pu, Pv], [Qu, Qv]] (the abs
-    keeps it finite if a field turns negative).
-    """
-    fc = flux_coeffs(p, u, v)
-    rho = 0.5 * (fc.Pu + fc.Qv + np.sqrt(np.abs((fc.Pu - fc.Qv) ** 2 + 4.0 * fc.Pv * fc.Qu)))
-    return _FD_SAFETY * 2.785 / 8.0 * h * h / float(np.max(rho))
-
-
-def fd_reference(params: ModelParams, u0: np.ndarray, v0: np.ndarray, N: int,
-                 t_end: float, dt: Optional[float] = None):
-    """Flux-form finite-volume reference solution on an N x N midpoint grid.
-
-    Second-order central differences with arithmetic-mean face coefficients,
-    zero-flux boundary faces, explicit RK4 in time.  dt defaults to the
-    _fd_stability_dt bound at the initial fields; every 25 steps the current
-    fields are checked against RK4's limit (the bound without its margin).
-    """
-    if N < 16:
-        raise ValueError(f"grid must be at least 16, got {N}")
-    u = np.asarray(u0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    if u.shape != (N, N) or v.shape != (N, N):
-        raise ValueError(f"initial fields must be ({N}, {N}), got {u.shape} and {v.shape}")
-    if not t_end > 0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
-    h = np.pi / N
-    bound = _fd_stability_dt(params, u, v, h)
-    if dt is None:
-        dt = bound
-    elif dt > bound:
-        raise ValueError(f"dt = {dt} violates the explicit stability bound {bound}")
-    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
-    dt = t_end / n_steps
-
-    for step in range(n_steps):
-        if step % 25 == 0:
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-                raise RuntimeError(f"finite-volume state lost finiteness at step {step}")
-            if _FD_SAFETY * dt > _fd_stability_dt(params, u, v, h):
-                raise RuntimeError(
-                    f"explicit stability bound violated mid-run at step {step} (flux growth)")
-        k1u, k1v = _fd_rhs(params, u, v, h)
-        k2u, k2v = _fd_rhs(params, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, h)
-        k3u, k3v = _fd_rhs(params, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, h)
-        k4u, k4v = _fd_rhs(params, u + dt * k3u, v + dt * k3v, h)
-        u = u + (dt / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return u, v
 
 
 def save_run(result: RunResult, out_dir) -> dict:

@@ -213,7 +213,11 @@ def _try_certificate(p: ModelParams, ksq: float, require_negative: bool) -> Opti
     return None
 
 
-def find_certificate(p: ModelParams, k_max: float = 2.0, grid_size: int = 41) -> Optional[LyapunovCert]:
+# Points of find_certificate's geometric K^2 grid, 1 + 10^-k (k_max^2 - 1).
+_K_GRID_POINTS = 41
+
+
+def find_certificate(p: ModelParams, k_max: float = 2.0) -> Optional[LyapunovCert]:
     """Search for certificate weights over K in (1, k_max].
 
     Success is decided by the K -> 1 limit of the admissibility windows: their
@@ -245,7 +249,7 @@ def find_certificate(p: ModelParams, k_max: float = 2.0, grid_size: int = 41) ->
         return None
 
     span = k_max**2 - 1.0
-    grid = [1.0 + 10.0 ** (-k) * span for k in range(grid_size)]
+    grid = [1.0 + 10.0 ** (-k) * span for k in range(_K_GRID_POINTS)]
     grid = [ksq for ksq in grid if ksq > 1.0]
 
     for ksq in grid:

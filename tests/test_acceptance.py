@@ -14,7 +14,7 @@ import pytest
 
 from sktspec.cli import main as cli_main
 from sktspec.galerkin import RhsAssembler, rhs_oracle
-from sktspec.integrate import RunConfig, fd_reference, run
+from sktspec.integrate import RunConfig, run
 from sktspec.lyapunov import (
     LyapunovCert,
     PreconditionError,
@@ -24,13 +24,8 @@ from sktspec.lyapunov import (
     find_certificate,
 )
 from sktspec.model import coexistence_steady_state, params_from_dict, preset
-from sktspec.spectral import (
-    SpectralState,
-    build_tensors,
-    midpoint_nodes,
-    quadrature_tables,
-    synthesize,
-)
+from sktspec.reference import build_tensors, fd_reference, quadrature_tables
+from sktspec.spectral import SpectralState, midpoint_nodes, synthesize
 
 EQUILIBRIA = {"case1": (0.520513, 0.205128), "case2": (1.05, 0.8)}
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sktspec
 from sktspec import cli
 from sktspec.cli import SWEEP_SHAPES, main, parse_ic
 from sktspec.model import PRESETS
@@ -20,6 +24,16 @@ def write_params(tmp_path, name, **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(values))
     return str(path)
+
+
+def test_run_path_does_not_import_the_references():
+    # sktspec.reference holds test-only second paths; a fresh interpreter
+    # that loads the package and the command line must not load it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sktspec.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, sktspec, sktspec.cli; print('sktspec.reference' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_check_case1_golden_values(capsys):
@@ -76,12 +90,13 @@ def test_check_missing_file(capsys, tmp_path):
     ["run", "{missing}", "--out", "{out}"],
     ["sweep", "{missing}", "--out", "{out}"],
     ["run", "case1", "--ic", "@{missing}", "--out", "{out}"],
+    ["run", "case1", "--ic", "cosine:0.5,0.3,1.5,1", "--out", "{out}"],
     ["sweep", "case1", "--snapshot-dt", "0", "--out", "{out}"],
     ["certify", "case1", "--kmax", "inf"],
     ["certify", "case1", "--kmax", "1e200"],
     ["check", "{huge}"],
     ["certify", "{huge}"],
-], ids=["check", "certify", "run", "sweep", "run-ic-file", "sweep-snapshot-dt",
+], ids=["check", "certify", "run", "sweep", "run-ic-file", "run-ic-fractional-j", "sweep-snapshot-dt",
         "certify-kmax-inf", "certify-kmax-1e200", "check-huge", "certify-huge"])
 def test_bad_input_exits_one_with_an_error_line(capsys, tmp_path, argv):
     # huge.json has condition sides beyond the double range.
@@ -267,6 +282,8 @@ def test_parse_ic_forms(tmp_path):
     "constant:",
     "constant:1,2,3",
     "cosine:0.5,0.2",
+    "cosine:0.5,0.3,1.5,1",
+    "cosine:0.5,0.3,1,0.5",
     "gaussian:1,2,3",
     "sawtooth:1",
 ])

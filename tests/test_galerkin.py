@@ -13,10 +13,10 @@ from sktspec.galerkin import (
     rhs_oracle,
 )
 from sktspec.model import ModelParams, coexistence_steady_state, preset, reactions
+from sktspec.reference import build_tensors
 from sktspec.spectral import (
     Basis,
     SpectralState,
-    build_tensors,
     laplacian_eigenvalues,
     synthesize,
 )
@@ -252,7 +252,11 @@ def test_ic_field_passthrough_and_unknown():
     ({"type": "cosine", "terms": [{"j": 1, "k": 0, "amp": "big"}]}, r"terms\[0\].amp must be a number"),
     ({"type": "gaussian", "cx": 1, "cy": 1, "sigma": -0.1, "amp": 1}, "sigma must be > 0"),
     (np.array([[0.5, np.inf]]), "non-finite"),
-], ids=["nan-value", "no-terms", "text-amp", "negative-sigma", "inf-grid"])
+    ({"type": "cosine", "terms": [{"j": 1.5, "k": 0, "amp": 0.1}]}, r"terms\[0\].j must be an integer"),
+    ({"type": "cosine", "terms": [{"j": True, "k": 0, "amp": 0.1}]}, r"terms\[0\].j must be an integer"),
+    ({"type": "cosine", "terms": [{"j": 1, "k": 0.5, "amp": 0.1}]}, r"terms\[0\].k must be an integer"),
+], ids=["nan-value", "no-terms", "text-amp", "negative-sigma", "inf-grid",
+        "fractional-j", "bool-j", "fractional-k"])
 def test_ic_field_rejects_bad_numbers(ic, message):
     with pytest.raises(ValueError, match=message):
         ic_field(ic, 8)

@@ -13,7 +13,6 @@ from sktspec.integrate import (
     _attempt,
     _block_exp,
     diagnostics,
-    fd_reference,
     load_snapshots,
     run,
     save_run,
@@ -21,6 +20,7 @@ from sktspec.integrate import (
 )
 from sktspec.lyapunov import LyapunovCert, eval_H
 from sktspec.model import coexistence_steady_state, params_from_dict, preset
+from sktspec.reference import fd_reference
 from sktspec.spectral import SpectralState, synthesize
 
 PURE_DIFFUSION = dict(d1=1.0, d2=1.0, a1=0.0, b1=1e-300, c1=0.0,

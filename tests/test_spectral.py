@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sktspec.reference import build_tensors, quadrature_tables
 from sktspec.spectral import (
     Basis,
     SpectralState,
     analyze,
-    build_tensors,
     laplacian_eigenvalues,
     midpoint_nodes,
-    quadrature_oracle,
-    quadrature_tables,
     synthesize,
 )
 
@@ -121,16 +119,6 @@ def test_tensors_match_quadrature_dense():
         mass_d, stiff_d = dense_tensors(n)
         assert np.abs(mass_d - mass_q).max() < 1e-13
         assert np.abs(stiff_d - stiff_q).max() < 1e-12
-
-
-def test_quadrature_oracle_single_entries():
-    for modes in [((0, 0), (1, 2), (1, 2)), ((1, 1), (1, 1), (2, 2)), ((2, 0), (1, 1), (3, 1))]:
-        got = entry(3, "mass", *modes)
-        want = quadrature_oracle(3, modes, kind="mass")
-        assert got == pytest.approx(want, abs=1e-13)
-        got_s = entry(3, "stiff", *modes)
-        want_s = quadrature_oracle(3, modes, kind="stiff")
-        assert got_s == pytest.approx(want_s, abs=1e-12)
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
