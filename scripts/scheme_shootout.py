@@ -42,7 +42,8 @@ def main(argv=None):
     spectral = {}
     for n in args.orders:
         t0 = time.perf_counter()
-        result = run(p, RunConfig(n=n, t_max=args.t_end, steady_tol=1e-14), IC_U, IC_V)
+        config = RunConfig(n=n, t_max=args.t_end, snapshot_dt=min(1.0, args.t_end), steady_tol=1e-14)
+        result = run(p, config, IC_U, IC_V)
         el = time.perf_counter() - t0
         assert result.outcome == "t_max_reached", result.outcome
         spectral[n] = (result, el)

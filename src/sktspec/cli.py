@@ -73,6 +73,11 @@ def parse_ic(text: str):
     return parsed
 
 
+# Values of each --ic form, named as the README spells them.
+_IC_FIELDS = {"constant": ("U", "V"), "cosine": ("OFFSET", "AMP", "J", "K"),
+              "gaussian": ("CX", "CY", "SIGMA", "AMP", "OFFSET")}
+
+
 def _parse_ic_text(text: str):
     if text.startswith("@"):
         with open(text[1:]) as fh:
@@ -81,27 +86,31 @@ def _parse_ic_text(text: str):
             return data["u"], data["v"]
         return data
     kind, _, argstr = text.partition(":")
-    args = [float(a) for a in argstr.split(",")] if argstr else []
+    if kind not in _IC_FIELDS:
+        raise ValueError(f"unknown initial-condition form {kind!r}")
+    names = _IC_FIELDS[kind]
+    texts = argstr.split(",") if argstr else []
+    args = {}
+    for name, value in zip(names, texts):
+        try:
+            args[name] = float(value)
+        except ValueError:
+            raise ValueError(f"{kind} initial condition: {name} must be a number, got {value!r}") from None
+    if not (len(texts) == len(names) or kind == "constant" and len(texts) == 1):
+        form = "U[,V]" if kind == "constant" else ",".join(names)
+        raise ValueError(f"{kind} takes {form}, got {len(texts)} values")
     if kind == "constant":
-        if len(args) == 1:
-            return {"type": "constant", "value": args[0]}
-        if len(args) == 2:
-            return ({"type": "constant", "value": args[0]},
-                    {"type": "constant", "value": args[1]})
-        raise ValueError(f"constant takes 1 or 2 values, got {len(args)}")
+        if "V" in args:
+            return {"type": "constant", "value": args["U"]}, {"type": "constant", "value": args["V"]}
+        return {"type": "constant", "value": args["U"]}
     if kind == "cosine":
-        if len(args) != 4:
-            raise ValueError("cosine takes OFFSET,AMP,J,K")
-        if not (args[2].is_integer() and args[3].is_integer()):
-            raise ValueError(f"cosine wavenumbers J,K must be integers, got {args[2]}, {args[3]}")
-        return {"type": "cosine", "offset": args[0],
-                "terms": [{"j": int(args[2]), "k": int(args[3]), "amp": args[1]}]}
-    if kind == "gaussian":
-        if len(args) != 5:
-            raise ValueError("gaussian takes CX,CY,SIGMA,AMP,OFFSET")
-        return {"type": "gaussian", "cx": args[0], "cy": args[1],
-                "sigma": args[2], "amp": args[3], "offset": args[4]}
-    raise ValueError(f"unknown initial-condition form {kind!r}")
+        j, k = args["J"], args["K"]
+        if not (j.is_integer() and k.is_integer()):
+            raise ValueError(f"cosine wavenumbers J,K must be integers, got {j}, {k}")
+        return {"type": "cosine", "offset": args["OFFSET"],
+                "terms": [{"j": int(j), "k": int(k), "amp": args["AMP"]}]}
+    return {"type": "gaussian", "cx": args["CX"], "cy": args["CY"],
+            "sigma": args["SIGMA"], "amp": args["AMP"], "offset": args["OFFSET"]}
 
 
 def _resolve_ics(ic_args):
@@ -125,10 +134,9 @@ def _resolve_ics(ic_args):
 
 
 def _params_from_args(args) -> ModelParams:
-    source = args.params or args.preset or args.source
-    if source is None:
-        raise ParamsError("no parameter source: give a preset name, a file, or --params/--preset")
-    return resolve_params(source)
+    if args.source is None:
+        raise ParamsError("no parameter source: give a preset name or a parameter file")
+    return resolve_params(args.source)
 
 
 def _emit(payload: dict) -> None:
@@ -179,10 +187,8 @@ def cmd_run(args) -> int:
     config = _config_from_args(args)
     ic_u, ic_v = _resolve_ics(args.ic)
     result = run(p, config, ic_u, ic_v)
-    manifest = save_run(result, args.out)
-    _emit({"outcome": result.outcome, "reason": result.reason,
-           "final_time": result.final_state.t, "n_steps": result.n_steps, "out_dir": args.out,
-           "final_diagnostics": manifest["timeseries"][-1]})
+    save_run(result, args.out)
+    _emit({**result.summary(), "out_dir": args.out})
     return _RUN_EXIT[result.outcome]
 
 
@@ -249,8 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_source(sp):
         sp.add_argument("source", nargs="?", default=None,
                         help="preset name (case1/case2) or parameter JSON file")
-        sp.add_argument("--params", default=None, help="parameter JSON file")
-        sp.add_argument("--preset", default=None, help="preset name")
 
     def add_run_options(sp):
         sp.add_argument("--n", type=int, default=8, help="truncation order")

@@ -168,8 +168,8 @@ def check_ic(ic):
     """Return ic unchanged, or raise ValueError naming its first bad number.
 
     Every number of a descriptor (and every value of a grid field) must be
-    finite, a cosine term's wavenumbers j and k must be integers, and a
-    Gaussian's sigma must be positive.
+    finite, a cosine term's wavenumbers j and k must be nonnegative integers,
+    and a Gaussian's sigma must be positive.
     """
     if not isinstance(ic, dict):
         if not np.all(np.isfinite(np.asarray(ic, dtype=float))):
@@ -199,6 +199,8 @@ def check_ic(ic):
             raise ValueError(f"{kind} initial condition: {key} must be finite, got {value}")
         if key.endswith((".j", ".k")) and (isinstance(raw, bool) or not value.is_integer()):
             raise ValueError(f"{kind} initial condition: {key} must be an integer, got {raw!r}")
+        if key.endswith((".j", ".k")) and value < 0:
+            raise ValueError(f"{kind} initial condition: {key} must be >= 0, got {raw!r}")
     if kind == "gaussian" and float(ic["sigma"]) <= 0.0:
         raise ValueError(f"gaussian initial condition: sigma must be > 0, got {float(ic['sigma'])}")
     return ic

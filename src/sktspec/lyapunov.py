@@ -111,26 +111,42 @@ def eval_H(cert: LyapunovCert, u, v) -> HDerivatives:
 
 def discriminants(p: ModelParams, cert: LyapunovCert):
     """Discriminant values of the three gradient quadratic forms."""
-    eps = cert.K**2 - 1.0
-    delta_u = (p.b11 * cert.lam - p.alpha11 + p.alpha21) ** 2 \
+    return _discriminants(p, cert.lam, cert.mu, cert.K)
+
+
+def _discriminants(p: ModelParams, lam: float, mu: float, K: float):
+    eps = K**2 - 1.0
+    delta_u = (p.b11 * lam - p.alpha11 + p.alpha21) ** 2 \
         - 4.0 * p.alpha11 * p.alpha21 * eps
-    delta_v = (cert.mu * p.b22 - p.alpha22 + p.alpha12) ** 2 \
+    delta_v = (mu * p.b22 - p.alpha22 + p.alpha12) ** 2 \
         - 4.0 * p.alpha12 * p.alpha22 * eps
-    delta_d = (p.d1 + p.d2) ** 2 - 4.0 * cert.K**2 * p.d1 * p.d2
+    delta_d = (p.d1 + p.d2) ** 2 - 4.0 * K**2 * p.d1 * p.d2
     return delta_u, delta_v, delta_d
 
 
-def window_bounds(p: ModelParams, ksq: float):
-    """Admissibility upper bounds for (lam, mu) at coupling K^2 = ksq.
+def _weight_window(diff: float, prod: float, b: float, eps: float):
+    """(lo, hi) of one weight at eps = K^2 - 1: the window bound hi, and the band
+    (lo, hi) where (b*w - diff)^2 - 4*prod*eps < 0 (lo None if it is empty).
 
-    A vanishing cross-diffusion weight leaves the corresponding window
-    unbounded (+inf).
+    With b = 0 the weight drops out: hi is +inf and the band is all or nothing.
     """
+    s = math.sqrt(max(prod * eps, 0.0))
+    if b > 0:
+        return (None if s == 0.0 else max((diff - 2.0 * s) / b, 0.0)), (diff + 2.0 * s) / b
+    return (0.0 if diff * diff < 4.0 * prod * eps else None), math.inf
+
+
+def _windows(p: ModelParams, ksq: float):
+    """_weight_window of lam and of mu at K^2 = ksq."""
     eps = ksq - 1.0
-    num_l = (p.alpha11 - p.alpha21) + 2.0 * math.sqrt(max(p.alpha11 * p.alpha21 * eps, 0.0))
-    num_m = (p.alpha22 - p.alpha12) + 2.0 * math.sqrt(max(p.alpha12 * p.alpha22 * eps, 0.0))
-    hi_l = num_l / p.b11 if p.b11 > 0 else math.inf
-    hi_m = num_m / p.b22 if p.b22 > 0 else math.inf
+    return (_weight_window(p.alpha11 - p.alpha21, p.alpha11 * p.alpha21, p.b11, eps),
+            _weight_window(p.alpha22 - p.alpha12, p.alpha12 * p.alpha22, p.b22, eps))
+
+
+def window_bounds(p: ModelParams, ksq: float):
+    """Admissibility upper bounds for (lam, mu) at coupling K^2 = ksq; a vanishing
+    cross-diffusion weight leaves the corresponding window unbounded (+inf)."""
+    (_, hi_l), (_, hi_m) = _windows(p, ksq)
     return hi_l, hi_m
 
 
@@ -138,83 +154,66 @@ def certificate_for(p: ModelParams, lam: float, mu: float) -> LyapunovCert:
     """Assemble a certificate from explicit weights (no search)."""
     K = math.sqrt(lam * mu)
     hi_l, hi_m = window_bounds(p, lam * mu)
-    cert = LyapunovCert(lam, mu, K, window_lambda_hi=hi_l, window_mu_hi=hi_m)
-    du, dv, dd = discriminants(p, cert)
-    return LyapunovCert(lam, mu, K, du, dv, dd, hi_l, hi_m,
-                        feasible=(K > 1 and du < 0 and dv < 0))
-
-
-def _neg_band(diff: float, prod: float, b: float, eps: float):
-    """Open interval of weights with negative discriminant, or None.
-
-    The discriminant (b*w - diff)^2 - 4*prod*eps is negative on
-    ((diff - 2*sqrt(prod*eps))/b, (diff + 2*sqrt(prod*eps))/b); with b = 0 the
-    weight drops out and the sign is fixed by diff^2 vs 4*prod*eps.
-    """
-    s = math.sqrt(max(prod * eps, 0.0))
-    if b > 0:
-        if s == 0.0:
-            return None
-        return (max((diff - 2.0 * s) / b, 0.0), (diff + 2.0 * s) / b)
-    return (0.0, math.inf) if diff * diff < 4.0 * prod * eps else None
+    du, dv, dd = _discriminants(p, lam, mu, K)
+    return LyapunovCert(lam, mu, K, du, dv, dd, hi_l, hi_m, feasible=(K > 1 and du < 0 and dv < 0))
 
 
 def _pick_weight(lo: float, hi: float, K: float) -> float:
-    """A weight strictly inside (lo, hi), biased toward the geometric mean.
+    """A weight strictly inside (lo, hi) if there is one, biased toward the geometric mean.
 
     Finite two-sided windows use the geometric mean clipped 10% inside each
     bound; half-open windows fall back to K (the balanced choice lam = mu).
+    Where rounding puts that on a bound (lo * hi over- or underflows), the
+    midpoint of (lo, min(hi, 4 max(lo, K))) is used instead.
     """
     if lo == 0.0 and hi == math.inf:
         return K
     if hi == math.inf:
-        return max(K, lo / 0.81)
-    if lo == 0.0:
-        return min(K, 0.9 * hi)
-    mid = math.sqrt(lo * hi)
-    clip_lo, clip_hi = lo / 0.9, 0.9 * hi
-    if clip_lo <= clip_hi:
-        mid = min(max(mid, clip_lo), clip_hi)
-    return mid
+        w = max(K, lo / 0.81)
+    elif lo == 0.0:
+        w = min(K, 0.9 * hi)
+    else:
+        w = math.sqrt(lo * hi)
+        clip_lo, clip_hi = lo / 0.9, 0.9 * hi
+        if clip_lo <= clip_hi:
+            w = min(max(w, clip_lo), clip_hi)
+    return w if lo < w < hi else 0.5 * (lo + min(hi, 4.0 * max(lo, K)))
 
 
 def _try_certificate(p: ModelParams, ksq: float, require_negative: bool) -> Optional[LyapunovCert]:
     """Certificate at fixed K^2, or None when no admissible weight exists."""
-    eps = ksq - 1.0
     K = math.sqrt(ksq)
-    hi_l, hi_m = window_bounds(p, ksq)
-
-    if require_negative:
-        band_l = _neg_band(p.alpha11 - p.alpha21, p.alpha11 * p.alpha21, p.b11, eps)
-        band_m = _neg_band(p.alpha22 - p.alpha12, p.alpha12 * p.alpha22, p.b22, eps)
-        if band_l is None or band_m is None:
-            return None
-    else:
-        band_l = (0.0, hi_l)
-        band_m = (0.0, hi_m)
-
-    # Couple the mu band back into lam through lam * mu = K^2.
-    lam_lo = max(band_l[0], ksq / band_m[1] if band_m[1] < math.inf else 0.0)
-    lam_hi = min(band_l[1], ksq / band_m[0] if band_m[0] > 0.0 else math.inf)
-    if not lam_lo < lam_hi:
+    (lo_l, hi_l), (lo_m, hi_m) = _windows(p, ksq)
+    if not require_negative:
+        lo_l = lo_m = 0.0
+    elif lo_l is None or lo_m is None:
         return None
 
-    for lam in (_pick_weight(lam_lo, lam_hi, K),
-                math.sqrt(lam_lo * lam_hi) if lam_hi < math.inf else K,
-                0.5 * (lam_lo + min(lam_hi, 4.0 * max(lam_lo, K)))):
-        if not (lam_lo < lam < lam_hi and lam > 0):
-            continue
-        mu = ksq / lam
-        cert = LyapunovCert(lam, mu, K, window_lambda_hi=hi_l, window_mu_hi=hi_m)
-        du, dv, dd = discriminants(p, cert)
-        if require_negative and not (du < 0 and dv < 0):
-            continue
-        return LyapunovCert(lam, mu, K, du, dv, dd, hi_l, hi_m, feasible=True)
-    return None
+    # Couple the mu band back into lam through lam * mu = K^2.
+    lam_lo = max(lo_l, ksq / hi_m if hi_m < math.inf else 0.0)
+    lam_hi = min(hi_l, ksq / lo_m if lo_m > 0.0 else math.inf)
+    lam = _pick_weight(lam_lo, lam_hi, K)
+    if not lam_lo < lam < lam_hi:  # also rejects an empty window
+        return None
+    mu = ksq / lam
+    du, dv, dd = _discriminants(p, lam, mu, K)
+    if require_negative and not (du < 0 and dv < 0):
+        return None
+    return LyapunovCert(lam, mu, K, du, dv, dd, hi_l, hi_m, feasible=True)
 
 
 # Points of find_certificate's geometric K^2 grid, 1 + 10^-k (k_max^2 - 1).
 _K_GRID_POINTS = 41
+
+
+def _search_order(span: float):
+    """(K^2, require_negative) in search order: the grid, a 400-point denser
+    sweep built only once the grid has failed, then the grid with the fallback."""
+    grid = [1.0 + 10.0 ** (-k) * span for k in range(_K_GRID_POINTS)]
+    grid = [ksq for ksq in grid if ksq > 1.0]
+    yield from ((ksq, True) for ksq in grid)
+    yield from ((1.0 + eps, True) for eps in np.geomspace(span, 1e-15, 400))
+    yield from ((ksq, False) for ksq in grid)
 
 
 def find_certificate(p: ModelParams, k_max: float = 2.0) -> Optional[LyapunovCert]:
@@ -241,31 +240,12 @@ def find_certificate(p: ModelParams, k_max: float = 2.0) -> Optional[LyapunovCer
             f"certificate search requires alpha22 > alpha12 (got {p.alpha22} <= {p.alpha12})"
         )
 
-    if p.b11 > 0 and p.b22 > 0:
-        gate = (p.alpha11 - p.alpha21) * (p.alpha22 - p.alpha12) > p.b11 * p.b22
-    else:
-        gate = True
-    if not gate:
+    if p.b11 > 0 and p.b22 > 0 and \
+            not (p.alpha11 - p.alpha21) * (p.alpha22 - p.alpha12) > p.b11 * p.b22:
         return None
 
-    span = k_max**2 - 1.0
-    grid = [1.0 + 10.0 ** (-k) * span for k in range(_K_GRID_POINTS)]
-    grid = [ksq for ksq in grid if ksq > 1.0]
-
-    for ksq in grid:
-        cert = _try_certificate(p, ksq, require_negative=True)
-        if cert is not None:
-            return cert
-
-    # Denser sweep between the geometric grid points before giving up on
-    # negative discriminants.
-    for eps in np.geomspace(span, 1e-15, 400):
-        cert = _try_certificate(p, 1.0 + eps, require_negative=True)
-        if cert is not None:
-            return cert
-
-    for ksq in grid:
-        cert = _try_certificate(p, ksq, require_negative=False)
+    for ksq, require_negative in _search_order(k_max**2 - 1.0):
+        cert = _try_certificate(p, ksq, require_negative)
         if cert is not None:
             return cert
     return None
@@ -316,8 +296,7 @@ def eval_psi_forms(p: ModelParams, cert: LyapunovCert, u, v, gu, gv) -> PsiForms
     fc = flux_coeffs(p, u, v)
     flux_u = np.asarray(fc.Pu)[..., None] * gu + np.asarray(fc.Pv)[..., None] * gv
     flux_v = np.asarray(fc.Qu)[..., None] * gu + np.asarray(fc.Qv)[..., None] * gv
-    grad_Hu = cert.lam * gu + gv
-    grad_Hv = gu + cert.mu * gv
+    grad_Hu, grad_Hv = _grad_H(cert, gu, gv)
     psi = np.sum(flux_u * grad_Hu + flux_v * grad_Hv, axis=-1)
     return PsiForms(psi_u, psi_v, psi_d, psi)
 
@@ -377,8 +356,6 @@ def check_reaction_sign(p: ModelParams, cert: LyapunovCert, level: float,
     v = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
     mask = _H(cert, u, v) > level
     n_eval = int(np.count_nonzero(mask))
-    if n_eval == 0:
-        return SignReport(level, samples, 0, 0.0, 0.0, phi_coefficients(p, cert), seed)
     u, v = u[mask], v[mask]
     Hu, Hv = _grad_H(cert, u, v)
     f, g = reactions(p, u, v)
@@ -390,7 +367,7 @@ def check_reaction_sign(p: ModelParams, cert: LyapunovCert, level: float,
         level=level,
         n_samples=samples,
         n_evaluated=n_eval,
-        violation_fraction=n_bad / n_eval,
+        violation_fraction=n_bad / n_eval if n_eval else 0.0,
         max_violation=worst,
         phi_coeffs=phi_coefficients(p, cert),
         seed=seed,

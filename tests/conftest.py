@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import sktspec
 from sktspec.model import preset
 
 settings.register_profile(
@@ -26,3 +29,10 @@ def case2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment for a subprocess that must import this copy of sktspec."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sktspec.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,12 +1,10 @@
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import sktspec
 from sktspec import cli
 from sktspec.cli import SWEEP_SHAPES, main, parse_ic
 from sktspec.model import PRESETS
@@ -26,13 +24,12 @@ def write_params(tmp_path, name, **overrides):
     return str(path)
 
 
-def test_run_path_does_not_import_the_references():
+def test_run_path_does_not_import_the_references(package_env):
     # sktspec.reference holds test-only second paths; a fresh interpreter
     # that loads the package and the command line must not load it.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sktspec.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, sktspec, sktspec.cli; print('sktspec.reference' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
+                          check=True)
     assert done.stdout.strip() == "False"
 
 
@@ -91,13 +88,16 @@ def test_check_missing_file(capsys, tmp_path):
     ["sweep", "{missing}", "--out", "{out}"],
     ["run", "case1", "--ic", "@{missing}", "--out", "{out}"],
     ["run", "case1", "--ic", "cosine:0.5,0.3,1.5,1", "--out", "{out}"],
+    ["run", "case1", "--ic", "cosine:0.5,0.3,-1,0", "--out", "{out}"],
+    ["run", "case1", "--ic", "constant:1,,2", "--out", "{out}"],
     ["sweep", "case1", "--snapshot-dt", "0", "--out", "{out}"],
     ["certify", "case1", "--kmax", "inf"],
     ["certify", "case1", "--kmax", "1e200"],
     ["check", "{huge}"],
     ["certify", "{huge}"],
-], ids=["check", "certify", "run", "sweep", "run-ic-file", "run-ic-fractional-j", "sweep-snapshot-dt",
-        "certify-kmax-inf", "certify-kmax-1e200", "check-huge", "certify-huge"])
+], ids=["check", "certify", "run", "sweep", "run-ic-file", "run-ic-fractional-j", "run-ic-negative-j",
+        "run-ic-empty-value", "sweep-snapshot-dt", "certify-kmax-inf", "certify-kmax-1e200", "check-huge",
+        "certify-huge"])
 def test_bad_input_exits_one_with_an_error_line(capsys, tmp_path, argv):
     # huge.json has condition sides beyond the double range.
     paths = {"missing": tmp_path / "nope.json", "out": tmp_path / "out",
@@ -106,13 +106,6 @@ def test_bad_input_exits_one_with_an_error_line(capsys, tmp_path, argv):
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
-
-
-def test_check_params_flag_beats_positional(capsys, tmp_path):
-    path = write_params(tmp_path, "own.json", d1=0.015)
-    code, out, _ = run_cli(capsys, "check", "case2", "--params", path)
-    assert code in (0, 2)
-    assert json.loads(out)["params"]["d1"] == 0.015
 
 
 def test_check_output_is_deterministic(capsys):
@@ -166,6 +159,9 @@ def test_run_writes_manifest(capsys, tmp_path):
     assert payload["out_dir"] == str(out_dir)
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["outcome"] == "t_max_reached"
+    assert payload["steps_rejected"] == manifest["steps_rejected"]
+    assert payload["rhs_evals"] == manifest["rhs_evals"]
+    assert payload["final_diagnostics"] == manifest["timeseries"][-1]
     coeffs = np.load(out_dir / "snapshots.npy")
     assert coeffs.shape == (len(manifest["timeseries"]), 2, 3, 3)
     assert coeffs.dtype == np.float64
@@ -278,17 +274,25 @@ def test_parse_ic_forms(tmp_path):
     assert parse_ic(f"@{pair_path}") == (desc, desc)
 
 
-@pytest.mark.parametrize("bad", [
-    "constant:",
-    "constant:1,2,3",
-    "cosine:0.5,0.2",
-    "cosine:0.5,0.3,1.5,1",
-    "cosine:0.5,0.3,1,0.5",
-    "gaussian:1,2,3",
-    "sawtooth:1",
-])
-def test_parse_ic_rejects_malformed(bad):
-    with pytest.raises(ValueError):
+MALFORMED_IC = [
+    ("constant:", r"constant takes U\[,V\], got 0 values"),
+    ("constant:1,2,3", "got 3 values"),
+    ("cosine:0.5,0.2", "cosine takes OFFSET,AMP,J,K"),
+    ("cosine:0.5,0.3,1.5,1", "must be integers"),
+    ("cosine:0.5,0.3,1,0.5", "must be integers"),
+    ("gaussian:1,2,3", "gaussian takes CX,CY,SIGMA,AMP,OFFSET"),
+    ("sawtooth:1", "unknown initial-condition form"),
+    ("constant:1,,2", "V must be a number, got ''"),
+    ("cosine:0.5,big,1,1", "AMP must be a number, got 'big'"),
+    ("gaussian:1,2,x,0.3,0.2", "SIGMA must be a number"),
+    ("cosine:0.5,0.3,-1,0", r"terms\[0\]\.j must be >= 0"),
+    ("cosine:0.5,0.3,1,-2", r"terms\[0\]\.k must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED_IC, ids=[bad for bad, _ in MALFORMED_IC])
+def test_parse_ic_rejects_malformed(bad, message):
+    with pytest.raises(ValueError, match=message):
         parse_ic(bad)
 
 

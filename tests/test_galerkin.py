@@ -255,8 +255,11 @@ def test_ic_field_passthrough_and_unknown():
     ({"type": "cosine", "terms": [{"j": 1.5, "k": 0, "amp": 0.1}]}, r"terms\[0\].j must be an integer"),
     ({"type": "cosine", "terms": [{"j": True, "k": 0, "amp": 0.1}]}, r"terms\[0\].j must be an integer"),
     ({"type": "cosine", "terms": [{"j": 1, "k": 0.5, "amp": 0.1}]}, r"terms\[0\].k must be an integer"),
+    ({"type": "cosine", "terms": [{"j": -1, "k": 0, "amp": 0.1}]}, r"terms\[0\].j must be >= 0, got -1"),
+    ({"type": "cosine", "terms": [{"j": 1, "k": 0, "amp": 0.1}, {"j": 0, "k": -3.0, "amp": 0.1}]},
+     r"terms\[1\].k must be >= 0, got -3.0"),
 ], ids=["nan-value", "no-terms", "text-amp", "negative-sigma", "inf-grid",
-        "fractional-j", "bool-j", "fractional-k"])
+        "fractional-j", "bool-j", "fractional-k", "negative-j", "negative-k"])
 def test_ic_field_rejects_bad_numbers(ic, message):
     with pytest.raises(ValueError, match=message):
         ic_field(ic, 8)

@@ -117,6 +117,42 @@ def test_degenerate_gradient_weights_give_balanced_cert():
     assert cert.window_lambda_hi == math.inf and cert.window_mu_hi == math.inf
 
 
+# One parameter set per corner of the search, with every certificate field.
+# Field order: lam, mu, K, delta_u, delta_v, delta_d, window_lambda_hi,
+# window_mu_hi (feasible is True throughout).
+SEARCH_CORNERS = {
+    # no grid point carries negative discriminants; the dense sweep does
+    "dense-sweep": (dict(alpha22=1.0, alpha12=1e-4, alpha21=1e-4, b22=1.0), (
+        1.3402094332336367, 1.0085702199771132, 1.1626243257784739,
+        -0.00017290174120575163, -6.55054147052083e-05, -0.018135625831348062,
+        1.3444491183619391, 1.0117607811360272)),
+    # neither sweep does; the window fallback keeps positive discriminants
+    "fallback": (dict(alpha22=2.0, alpha12=1e-3, alpha21=1e-3, b22=0.5), (
+        1.1547005383792515, 3.464101615137755, 2.0,
+        0.047261871339628635, 0.04726187133962851, -0.23000000000000004,
+        1.435946222565531, 4.307838667696593)),
+    "grid": (dict(alpha22=2.0, alpha12=1e-3, alpha21=1e-3, b22=0.7), (
+        1.3662601021279464, 2.9277002188455996, 2.0,
+        -0.021460832461294894, -0.021460832461294894, -0.23000000000000004,
+        1.435946222565531, 3.0770276197832813)),
+    # lam window near 1e200 and narrow: lo * hi overflows, so the weight is
+    # the window midpoint, not the geometric mean
+    "overflowing-mean": (dict(alpha22=1.0, alpha12=0.9, alpha21=1e-3, b11=1e-200, b22=1.0), (
+        1.999e+200, 2.0010005002501248e-200, 2.0,
+        -0.024, -10.790000000000001, -0.23000000000000004,
+        2.153919333848297e+200, 3.386335345030997)),
+}
+
+
+@pytest.mark.parametrize("corner", sorted(SEARCH_CORNERS))
+def test_search_corners_are_pinned(corner):
+    overrides, expected = SEARCH_CORNERS[corner]
+    p = make(**{"alpha11": 2.0, "b11": 1.5, **overrides})
+    cert = find_certificate(p)
+    assert cert == LyapunovCert(*expected, feasible=True)
+    assert (cert.delta_u > 0) == (corner == "fallback")
+
+
 def test_window_bounds_match_stored(case1):
     cert = find_certificate(case1)
     hi_l, hi_m = window_bounds(case1, cert.K**2)
