@@ -19,7 +19,6 @@ from .lyapunov import (
     check_reaction_sign,
     eval_H,
     eval_L,
-    eval_psi_forms,
     find_certificate,
 )
 from .model import (
@@ -60,7 +59,6 @@ __all__ = [
     "diagnostics",
     "eval_H",
     "eval_L",
-    "eval_psi_forms",
     "find_certificate",
     "flux_coeffs",
     "load_snapshots",

@@ -65,7 +65,8 @@ def parse_ic(text: str):
     "cosine:OFFSET,AMP,J,K", "gaussian:CX,CY,SIGMA,AMP,OFFSET", or
     "@file.json" holding either a descriptor or {"u": ..., "v": ...}.
     Returns a single descriptor dict or a (u_desc, v_desc) tuple; a
-    non-finite number or a sigma <= 0 raises ValueError (see check_ic).
+    non-finite number, a wavenumber that is not a nonnegative integer or a
+    sigma <= 0 raises ValueError (see check_ic).
     """
     parsed = _parse_ic_text(text)
     for ic in parsed if isinstance(parsed, tuple) else (parsed,):
@@ -104,11 +105,8 @@ def _parse_ic_text(text: str):
             return {"type": "constant", "value": args["U"]}, {"type": "constant", "value": args["V"]}
         return {"type": "constant", "value": args["U"]}
     if kind == "cosine":
-        j, k = args["J"], args["K"]
-        if not (j.is_integer() and k.is_integer()):
-            raise ValueError(f"cosine wavenumbers J,K must be integers, got {j}, {k}")
         return {"type": "cosine", "offset": args["OFFSET"],
-                "terms": [{"j": int(j), "k": int(k), "amp": args["AMP"]}]}
+                "terms": [{"j": args["J"], "k": args["K"], "amp": args["AMP"]}]}
     return {"type": "gaussian", "cx": args["CX"], "cy": args["CY"],
             "sigma": args["SIGMA"], "amp": args["AMP"], "offset": args["OFFSET"]}
 
@@ -172,7 +170,7 @@ def cmd_certify(args) -> int:
         "max_violation": sign.max_violation,
     })
     _emit(payload)
-    return 0
+    return 0 if cert.feasible else 2
 
 
 def _config_from_args(args) -> RunConfig:

@@ -283,14 +283,14 @@ def _project_one(ic, n: int, resolution: int, label: str) -> np.ndarray:
     return exact if exact is not None else analyze(field, n)
 
 
-def project_initial(u0, v0, n: int, resolution: int | None = None):
+def project_initial(u0, v0, n: int):
     """Project initial data onto the order-n basis.
 
     Returns (state at t=0, ProjectionReport).  Grid fields are transformed by
     quadrature; constant/cosine descriptors are placed exactly on their modes;
     Gaussians are sampled at the diagnostic resolution 4(n+1) and transformed.
     """
-    resolution = resolution if resolution is not None else 4 * (n + 1)
+    resolution = 4 * (n + 1)
     mu1 = _project_one(u0, n, resolution, "u")
     mu2 = _project_one(v0, n, resolution, "v")
     state = SpectralState(mu1, mu2, t=0.0)

@@ -9,8 +9,10 @@ three quadratic forms in (grad u, grad v): a u-weighted form, a v-weighted
 form, and a constant-diffusion form.  Negativity of the form discriminants
 (delta_u, delta_v) certifies pointwise dissipation of H along the flow; the
 admissible (lam, mu) windows shrink as K -> 1 and open up under the
-cross-product condition cond_1_7.  The reaction side is handled separately by
-a sampled sign check of H_u*f + H_v*g on superlevel sets of H.
+cross-product condition cond_1_7.  This module computes the discriminants in
+closed form; the forms themselves, written out term by term, live in
+sktspec.reference as the tests' second path.  The reaction side is handled
+separately by a sampled sign check of H_u*f + H_v*g on superlevel sets of H.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import ModelParams, flux_coeffs, reactions
+from .model import ModelParams, reactions
 
 __all__ = [
     "LyapunovCert",
@@ -32,13 +34,9 @@ __all__ = [
     "window_bounds",
     "certificate_for",
     "find_certificate",
-    "eval_psi_forms",
-    "form_coefficients",
     "phi_coefficients",
-    "phi_cubic",
     "check_reaction_sign",
     "eval_L",
-    "min_transport_quotient",
 ]
 
 
@@ -65,15 +63,6 @@ class LyapunovCert:
     window_lambda_hi: float = math.inf
     window_mu_hi: float = math.inf
     feasible: bool = False
-
-    def validate(self) -> "LyapunovCert":
-        if not (self.lam > 0 and self.mu > 0):
-            raise ValueError(f"weights must be positive, got lam={self.lam}, mu={self.mu}")
-        if not self.K > 1:
-            raise ValueError(f"K must exceed 1, got {self.K}")
-        if abs(self.lam * self.mu - self.K**2) > 1e-12 * self.K**2:
-            raise ValueError("lam * mu must equal K^2")
-        return self
 
     def to_dict(self) -> dict:
         return {
@@ -188,6 +177,8 @@ def _try_certificate(p: ModelParams, ksq: float, require_negative: bool) -> Opti
         lo_l = lo_m = 0.0
     elif lo_l is None or lo_m is None:
         return None
+    if hi_m == 0.0:  # the mu window bound underflowed: no mu fits under it
+        return None
 
     # Couple the mu band back into lam through lam * mu = K^2.
     lam_lo = max(lo_l, ksq / hi_m if hi_m < math.inf else 0.0)
@@ -199,7 +190,7 @@ def _try_certificate(p: ModelParams, ksq: float, require_negative: bool) -> Opti
     du, dv, dd = _discriminants(p, lam, mu, K)
     if require_negative and not (du < 0 and dv < 0):
         return None
-    return LyapunovCert(lam, mu, K, du, dv, dd, hi_l, hi_m, feasible=True)
+    return LyapunovCert(lam, mu, K, du, dv, dd, hi_l, hi_m, feasible=bool(du < 0 and dv < 0))
 
 
 # Points of find_certificate's geometric K^2 grid, 1 + 10^-k (k_max^2 - 1).
@@ -225,7 +216,8 @@ def find_certificate(p: ModelParams, k_max: float = 2.0) -> Optional[LyapunovCer
     feasible).  On success the search walks a geometric K grid refining toward
     1 and returns the largest K carrying weights with negative discriminants;
     parameter corners where the discriminant bands cannot meet lam * mu = K^2
-    below k_max fall back to the window-consistent weight choice.
+    below k_max fall back to the window-consistent weight choice, returned
+    with feasible False.
     """
     if not k_max > 1:
         raise ValueError(f"k_max must exceed 1, got {k_max}")
@@ -251,56 +243,6 @@ def find_certificate(p: ModelParams, k_max: float = 2.0) -> Optional[LyapunovCer
     return None
 
 
-class PsiForms(NamedTuple):
-    psi_u: object
-    psi_v: object
-    psi_d: object
-    psi: object
-
-
-def form_coefficients(p: ModelParams, cert: LyapunovCert):
-    """(A, B, C) of the three gradient quadratic forms A|gu|^2 + B gu.gv + C|gv|^2."""
-    lam, mu = cert.lam, cert.mu
-    coeff_u = (p.alpha11 * lam,
-               p.b11 * lam + (p.alpha11 + p.alpha21),
-               p.b11 + p.alpha21 * mu)
-    coeff_v = (p.alpha12 * lam + p.b22,
-               (p.alpha12 + p.alpha22) + p.b22 * mu,
-               p.alpha22 * mu)
-    coeff_d = (p.d1 * lam, p.d1 + p.d2, p.d2 * mu)
-    return {"u": coeff_u, "v": coeff_v, "d": coeff_d}
-
-
-def eval_psi_forms(p: ModelParams, cert: LyapunovCert, u, v, gu, gv) -> PsiForms:
-    """The three gradient quadratic forms and their density-weighted total.
-
-    gu, gv are gradient vectors with the component axis last.  The total form
-    psi is evaluated independently through the flux coefficients (flux dotted
-    against the gradients of H_u and H_v), so the decomposition
-    psi == u*psi_u + v*psi_v + psi_d is a nontrivial identity, not a tautology.
-    """
-    gu = np.asarray(gu, dtype=float)
-    gv = np.asarray(gv, dtype=float)
-    g2u = np.sum(gu * gu, axis=-1)
-    guv = np.sum(gu * gv, axis=-1)
-    g2v = np.sum(gv * gv, axis=-1)
-
-    coeff = form_coefficients(p, cert)
-    au, bu, cu = coeff["u"]
-    av, bv, cv = coeff["v"]
-    ad, bd, cd = coeff["d"]
-    psi_u = au * g2u + bu * guv + cu * g2v
-    psi_v = av * g2u + bv * guv + cv * g2v
-    psi_d = ad * g2u + bd * guv + cd * g2v
-
-    fc = flux_coeffs(p, u, v)
-    flux_u = np.asarray(fc.Pu)[..., None] * gu + np.asarray(fc.Pv)[..., None] * gv
-    flux_v = np.asarray(fc.Qu)[..., None] * gu + np.asarray(fc.Qv)[..., None] * gv
-    grad_Hu, grad_Hv = _grad_H(cert, gu, gv)
-    psi = np.sum(flux_u * grad_Hu + flux_v * grad_Hv, axis=-1)
-    return PsiForms(psi_u, psi_v, psi_d, psi)
-
-
 def phi_coefficients(p: ModelParams, cert: LyapunovCert):
     """Coefficients (u^3, u^2 v, u v^2, v^3) of the cubic reaction budget."""
     return (
@@ -309,12 +251,6 @@ def phi_coefficients(p: ModelParams, cert: LyapunovCert):
         -p.c1 + p.c2 - cert.mu * p.b2,
         cert.mu * p.c2,
     )
-
-
-def phi_cubic(p: ModelParams, cert: LyapunovCert, u, v):
-    """The cubic form whose positivity makes H_u*f + H_v*g eventually negative."""
-    c3, c2u, c2v, c0 = phi_coefficients(p, cert)
-    return c3 * u**3 + c2u * u**2 * v + c2v * u * v**2 + c0 * v**3
 
 
 @dataclass(frozen=True)
@@ -386,29 +322,3 @@ def eval_L(cert: LyapunovCert, field_u: np.ndarray, field_v: np.ndarray,
     H = eval_H(cert, field_u, field_v).H
     excess = np.maximum(H - level, 0.0)
     return float(0.5 * np.sum(excess * excess) * cell_area)
-
-
-def min_transport_quotient(p: ModelParams, cert: LyapunovCert,
-                           samples: int = 4096, seed: int = 0) -> float:
-    """Empirical minimum of (Hu*P + Hv*Q) . grad(H) / |grad(H)|^2.
-
-    P and Q are the two species' diffusion fluxes.  The quotient's infimum is
-    the coercivity constant that the dissipation argument needs; it is only
-    reported, never asserted.
-    """
-    rng = np.random.default_rng(seed)
-    u = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
-    v = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
-    g = rng.normal(size=(samples, 4))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    gu, gv = g[:, :2], g[:, 2:]
-
-    _, Hu, Hv, _, _, _ = eval_H(cert, u, v)
-    fc = flux_coeffs(p, u, v)
-    flux_u = fc.Pu[..., None] * gu + fc.Pv[..., None] * gv
-    flux_v = fc.Qu[..., None] * gu + fc.Qv[..., None] * gv
-    grad_H = Hu[..., None] * gu + Hv[..., None] * gv
-    numer = np.sum((Hu[..., None] * flux_u + Hv[..., None] * flux_v) * grad_H, axis=-1)
-    denom = np.sum(grad_H * grad_H, axis=-1)
-    ok = denom > 1e-30
-    return float(np.min(numer[ok] / denom[ok]))

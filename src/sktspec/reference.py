@@ -1,7 +1,7 @@
 """Independent reference computations, used only by tests and scripts.
 
-Nothing on the run path imports this module.  It holds two second paths to
-quantities the solver computes another way:
+Nothing on the run path imports this module.  It holds second paths to
+quantities the solver and the certificate compute another way:
 
 - The triple products of the weak form,
 
@@ -19,15 +19,20 @@ quantities the solver computes another way:
   the quadrature.
 - fd_reference, a flux-form finite-volume solver on the same domain, an
   independent discretization of the whole system.
+- The certificate's three gradient quadratic forms written out term by term
+  (form_coefficients, eval_psi_forms), against which lyapunov.discriminants
+  is checked, and the cubic reaction budget phi_cubic built on
+  lyapunov.phi_coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .lyapunov import LyapunovCert, phi_coefficients
 from .model import ModelParams, flux_coeffs, reactions
 from .spectral import DOMAIN_LENGTH, Basis
 
@@ -36,6 +41,10 @@ __all__ = [
     "build_tensors",
     "quadrature_tables",
     "fd_reference",
+    "PsiForms",
+    "form_coefficients",
+    "eval_psi_forms",
+    "phi_cubic",
 ]
 
 
@@ -277,3 +286,60 @@ def fd_reference(params: ModelParams, u0: np.ndarray, v0: np.ndarray, N: int,
         u = u + (dt / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
         v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
     return u, v
+
+
+class PsiForms(NamedTuple):
+    psi_u: object
+    psi_v: object
+    psi_d: object
+    psi: object
+
+
+def form_coefficients(p: ModelParams, cert: LyapunovCert):
+    """(A, B, C) of the three gradient quadratic forms A|gu|^2 + B gu.gv + C|gv|^2."""
+    lam, mu = cert.lam, cert.mu
+    coeff_u = (p.alpha11 * lam,
+               p.b11 * lam + (p.alpha11 + p.alpha21),
+               p.b11 + p.alpha21 * mu)
+    coeff_v = (p.alpha12 * lam + p.b22,
+               (p.alpha12 + p.alpha22) + p.b22 * mu,
+               p.alpha22 * mu)
+    coeff_d = (p.d1 * lam, p.d1 + p.d2, p.d2 * mu)
+    return {"u": coeff_u, "v": coeff_v, "d": coeff_d}
+
+
+def eval_psi_forms(p: ModelParams, cert: LyapunovCert, u, v, gu, gv) -> PsiForms:
+    """The three gradient quadratic forms and their density-weighted total.
+
+    gu, gv are gradient vectors with the component axis last.  The total form
+    psi is evaluated independently through the flux coefficients (flux dotted
+    against the gradients of H_u and H_v), so the decomposition
+    psi == u*psi_u + v*psi_v + psi_d is a nontrivial identity, not a tautology.
+    """
+    gu = np.asarray(gu, dtype=float)
+    gv = np.asarray(gv, dtype=float)
+    g2u = np.sum(gu * gu, axis=-1)
+    guv = np.sum(gu * gv, axis=-1)
+    g2v = np.sum(gv * gv, axis=-1)
+
+    coeff = form_coefficients(p, cert)
+    au, bu, cu = coeff["u"]
+    av, bv, cv = coeff["v"]
+    ad, bd, cd = coeff["d"]
+    psi_u = au * g2u + bu * guv + cu * g2v
+    psi_v = av * g2u + bv * guv + cv * g2v
+    psi_d = ad * g2u + bd * guv + cd * g2v
+
+    fc = flux_coeffs(p, u, v)
+    flux_u = np.asarray(fc.Pu)[..., None] * gu + np.asarray(fc.Pv)[..., None] * gv
+    flux_v = np.asarray(fc.Qu)[..., None] * gu + np.asarray(fc.Qv)[..., None] * gv
+    grad_Hu = cert.lam * gu + gv
+    grad_Hv = gu + cert.mu * gv
+    psi = np.sum(flux_u * grad_Hu + flux_v * grad_Hv, axis=-1)
+    return PsiForms(psi_u, psi_v, psi_d, psi)
+
+
+def phi_cubic(p: ModelParams, cert: LyapunovCert, u, v):
+    """The cubic form whose positivity makes H_u*f + H_v*g eventually negative."""
+    c3, c2u, c2v, c0 = phi_coefficients(p, cert)
+    return c3 * u**3 + c2u * u**2 * v + c2v * u * v**2 + c0 * v**3

@@ -138,6 +138,22 @@ def test_certify_infeasible_exit_two(capsys, tmp_path):
     assert "window product" in data["reason"]
 
 
+# A window-fallback certificate keeps positive discriminants; a mu window
+# bound that underflows to 0 leaves no certificate at all.
+@pytest.mark.parametrize("overrides, has_weights", [
+    (dict(alpha11=2.0, alpha22=2.0, alpha12=1e-3, alpha21=1e-3, b11=1.5, b22=0.5), True),
+    (dict(alpha12=0.0, alpha21=1.55e-5, alpha22=2.08e-220, b11=0.0, b22=3.55e289), False),
+], ids=["fallback", "mu-window-underflow"])
+def test_certify_without_negative_discriminants_exit_two(capsys, tmp_path, overrides, has_weights):
+    code, out, _ = run_cli(capsys, "certify", write_params(tmp_path, "p.json", **overrides))
+    assert code == 2
+    data = json.loads(out)
+    assert data["feasible"] is False
+    assert ("lambda" in data) == has_weights
+    if has_weights:
+        assert data["delta_u"] > 0 and data["delta_v"] > 0
+
+
 def test_certify_precondition_exit_two(capsys, tmp_path):
     path = write_params(tmp_path, "pre.json", alpha11=0.1, alpha21=0.2)
     code, out, _ = run_cli(capsys, "certify", path)
@@ -278,8 +294,8 @@ MALFORMED_IC = [
     ("constant:", r"constant takes U\[,V\], got 0 values"),
     ("constant:1,2,3", "got 3 values"),
     ("cosine:0.5,0.2", "cosine takes OFFSET,AMP,J,K"),
-    ("cosine:0.5,0.3,1.5,1", "must be integers"),
-    ("cosine:0.5,0.3,1,0.5", "must be integers"),
+    ("cosine:0.5,0.3,1.5,1", r"terms\[0\]\.j must be an integer"),
+    ("cosine:0.5,0.3,1,0.5", r"terms\[0\]\.k must be an integer"),
     ("gaussian:1,2,3", "gaussian takes CX,CY,SIGMA,AMP,OFFSET"),
     ("sawtooth:1", "unknown initial-condition form"),
     ("constant:1,,2", "V must be a number, got ''"),

@@ -314,7 +314,7 @@ def test_project_initial_band_limited_grid_round_trip(rng):
         target.mu1[0, 0] += shift * np.pi
         target.mu2[0, 0] += shift * np.pi
         u, v = synthesize(target, res)
-    state, _ = project_initial(u, v, n, resolution=res)
+    state, _ = project_initial(u, v, n)
     assert np.abs(state.mu1 - target.mu1).max() < 1e-12
     assert np.abs(state.mu2 - target.mu2).max() < 1e-12
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,15 +14,12 @@ from sktspec.lyapunov import (
     discriminants,
     eval_H,
     eval_L,
-    eval_psi_forms,
     find_certificate,
-    form_coefficients,
-    min_transport_quotient,
     phi_coefficients,
-    phi_cubic,
     window_bounds,
 )
 from sktspec.model import params_from_dict, reactions
+from sktspec.reference import eval_psi_forms, form_coefficients, phi_cubic
 
 BASE = dict(d1=0.1, d2=0.2, a1=1.0, b1=1.0, c1=0.5, a2=0.3, b2=0.5, c2=1.0,
             alpha11=1.0, alpha12=0.1, alpha21=0.2, alpha22=1.0, b11=0.1, b22=0.1)
@@ -78,7 +76,7 @@ def test_find_certificate_case1(case1):
     assert cert.mu == pytest.approx(6.74478, rel=1e-4)
     assert cert.delta_u < 0 and cert.delta_v < 0
     assert cert.lam * cert.mu == pytest.approx(cert.K**2, rel=1e-12)
-    cert.validate()
+    assert cert.K > 1 and cert.lam > 0 and cert.mu > 0
 
 
 def test_find_certificate_case2(case2):
@@ -91,6 +89,13 @@ def test_find_certificate_case2(case2):
 def test_find_certificate_infeasible():
     # A1*A2 = 0.01 << b11*b22 = 1
     p = make(alpha11=0.3, alpha21=0.2, alpha22=0.2, alpha12=0.1, b11=1.0, b22=1.0)
+    assert find_certificate(p) is None
+
+
+def test_find_certificate_underflowing_mu_window(case1):
+    # b22 * mu < alpha22 ~ 1e-220 puts the mu window bound below the double
+    # range: it rounds to 0, and no weight fits under it.
+    p = replace(case1, alpha12=0.0, alpha21=1.55e-5, alpha22=2.08e-220, b11=0.0, b22=3.55e289)
     assert find_certificate(p) is None
 
 
@@ -119,7 +124,7 @@ def test_degenerate_gradient_weights_give_balanced_cert():
 
 # One parameter set per corner of the search, with every certificate field.
 # Field order: lam, mu, K, delta_u, delta_v, delta_d, window_lambda_hi,
-# window_mu_hi (feasible is True throughout).
+# window_mu_hi (feasible is True except for the fallback).
 SEARCH_CORNERS = {
     # no grid point carries negative discriminants; the dense sweep does
     "dense-sweep": (dict(alpha22=1.0, alpha12=1e-4, alpha21=1e-4, b22=1.0), (
@@ -149,7 +154,7 @@ def test_search_corners_are_pinned(corner):
     overrides, expected = SEARCH_CORNERS[corner]
     p = make(**{"alpha11": 2.0, "b11": 1.5, **overrides})
     cert = find_certificate(p)
-    assert cert == LyapunovCert(*expected, feasible=True)
+    assert cert == LyapunovCert(*expected, feasible=corner != "fallback")
     assert (cert.delta_u > 0) == (corner == "fallback")
 
 
@@ -217,6 +222,21 @@ def test_psi_decomposition_machine_precision(case1, rng):
     direct = u * forms.psi_u + v * forms.psi_v + forms.psi_d
     scale = np.maximum(np.abs(direct), 1.0)
     assert np.abs(direct - forms.psi).max() / scale.max() < 1e-12
+
+
+def test_form_discriminants_match_closed_form():
+    # B^2 - 4AC of each form, written out in sktspec.reference, against
+    # lyapunov's closed-form discriminants (delta_u, delta_v, delta_d).
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        p = _random_params(rng)
+        lam = 10.0 ** rng.uniform(-2, 2)
+        K = rng.uniform(1.0, 3.0)
+        cert = LyapunovCert(lam=lam, mu=K * K / lam, K=K)
+        coeff = form_coefficients(p, cert)
+        for form, delta in zip("uvd", discriminants(p, cert)):
+            A, B, C = coeff[form]
+            assert abs(B * B - 4 * A * C - delta) <= 1e-12 * max(B * B, 4 * abs(A * C))
 
 
 @given(st.floats(1.1, 2.0))
@@ -336,25 +356,8 @@ def test_eval_L_nonincreasing_in_level(c_lo, gap):
     assert lo >= 0.0 and hi >= 0.0
 
 
-def test_min_transport_quotient_deterministic(case1):
-    cert = find_certificate(case1)
-    q1 = min_transport_quotient(case1, cert, samples=2048, seed=5)
-    q2 = min_transport_quotient(case1, cert, samples=2048, seed=5)
-    assert q1 == q2
-    assert math.isfinite(q1)
-
-
 def test_cert_json_keys(case1):
     cert = find_certificate(case1)
     d = cert.to_dict()
     assert set(d) == {"lambda", "mu", "K", "delta_u", "delta_v", "delta_d", "feasible"}
     assert d["lambda"] == cert.lam
-
-
-def test_certificate_validate_guards():
-    with pytest.raises(ValueError, match="positive"):
-        LyapunovCert(lam=-1.0, mu=1.0, K=1.5).validate()
-    with pytest.raises(ValueError, match="K"):
-        LyapunovCert(lam=1.0, mu=1.0, K=1.0).validate()
-    with pytest.raises(ValueError, match="K"):
-        LyapunovCert(lam=4.0, mu=1.0, K=1.5).validate()
