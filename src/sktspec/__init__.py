@@ -3,6 +3,7 @@ cross-diffusion system on [0, pi]^2 with zero-flux boundaries."""
 
 from .galerkin import RhsAssembler, project_initial, rhs_oracle
 from .integrate import (
+    Batch,
     DiagnosticRecord,
     RunConfig,
     RunResult,
@@ -10,7 +11,6 @@ from .integrate import (
     load_snapshots,
     run,
     save_run,
-    step_adaptive,
 )
 from .lyapunov import (
     LyapunovCert,
@@ -41,6 +41,7 @@ from .spectral import (
 
 __all__ = [
     "Basis",
+    "Batch",
     "ConditionReport",
     "DiagnosticRecord",
     "LyapunovCert",
@@ -69,6 +70,5 @@ __all__ = [
     "rhs_oracle",
     "run",
     "save_run",
-    "step_adaptive",
     "synthesize",
 ]

@@ -6,8 +6,8 @@ Subcommands
     certify  search for certificate weights (exit 0 feasible, 2 infeasible)
     run      integrate one initial condition; write manifest.json + snapshots.npy
              (exit 0 steady/t_max, 3 blow-up, 4 step budget, 1 bad config)
-    sweep    the nine-initial-condition grid, run in order (worst run
-             decides the exit code)
+    sweep    the nine-initial-condition grid, integrated together in lockstep
+             (worst run decides the exit code)
 
 All JSON output is deterministic and strict: no timestamps, repr-round-trip
 floats, sorted keys, and no NaN or infinity (a missing value is null).
@@ -28,6 +28,7 @@ from .integrate import (
     OUTCOME_BUDGET,
     OUTCOME_STEADY,
     OUTCOME_TMAX,
+    Batch,
     RunConfig,
     run,
     save_run,
@@ -206,15 +207,27 @@ def cmd_sweep(args) -> int:
     pairs = [(lu, lv) for lu in labels for lv in labels]
     equilibrium = coexistence_steady_state(p)
 
-    rows = []
-    failures = []
+    # One batch shares the condition report, the certificate and the
+    # assembler; a cell whose set-up or save fails is recorded and the
+    # others go on.
+    batch = Batch(p, config)
+    errors = {}
+    cells = []
     for lu, lv in pairs:
         try:
-            result = run(p, config, SWEEP_SHAPES[lu], SWEEP_SHAPES[lv])
+            batch.add(SWEEP_SHAPES[lu], SWEEP_SHAPES[lv])
+            cells.append((lu, lv))
+        except Exception as exc:
+            errors[lu, lv] = str(exc)
+    rows = []
+    for (lu, lv), result in zip(cells, batch.integrate()):
+        try:  # partial results stay on disk
             save_run(result, os.path.join(args.out, f"u{lu}_v{lv}"))
             rows.append(((lu, lv), result, _sweep_deviation(result, equilibrium)))
-        except Exception as exc:  # partial results stay on disk
-            failures.append({"u_ic": lu, "v_ic": lv, "error": str(exc)})
+        except Exception as exc:
+            errors[lu, lv] = str(exc)
+    failures = [{"u_ic": lu, "v_ic": lv, "error": errors[lu, lv]}
+                for lu, lv in pairs if (lu, lv) in errors]
 
     summary = []
     print(f"{'u_ic':>4} {'v_ic':>4} {'outcome':>22} {'max_deviation':>14} {'t_end':>8}")

@@ -47,13 +47,14 @@ class RhsAssembler:
     The state splits into its mean (mode (0, 0)) and a zero-mean deviation.
     The mean gives the reactions pi*(f, g)(u_bar, v_bar) on mode (0, 0) and a
     2x2 linear block per mode, -(j^2 + k^2) A + J, with A the cross-diffusion
-    matrix and J the reaction Jacobian at the mean (linear_blocks; the time
-    stepper integrates these blocks exactly).  The part quadratic in the
-    deviation is synthesized on the midpoint grid of R = floor(3n/2) + 1
-    points per axis, formed pointwise, and projected back.  Its integrands
-    are trigonometric of degree at most 3n < 2R per axis, so the midpoint
-    rule integrates them exactly (the 3/2 rule).  A homogeneous state has a
-    zero deviation and so gets exact zeros off the mean mode.
+    matrix and J the reaction Jacobian at the mean (rhs_flat leaves them in
+    last_blocks; the time stepper integrates these blocks exactly).  The
+    part quadratic in the deviation is synthesized on the midpoint grid of
+    R = floor(3n/2) + 1 points per axis, formed pointwise, and projected
+    back.  Its integrands are trigonometric of degree at most 3n < 2R per
+    axis, so the midpoint rule integrates them exactly (the 3/2 rule).  A
+    homogeneous state has a zero deviation and so gets exact zeros off the
+    mean mode.
     """
 
     def __init__(self, params: ModelParams, n: int):
@@ -66,59 +67,81 @@ class RhsAssembler:
         self._D = basis.dcos_table(nodes)
         self._cell = (np.pi / nodes.size) ** 2
         self._eig = laplacian_eigenvalues(n).reshape(n + 1, n + 1)
+        # Per-species coefficients of the quadratic part, shaped to broadcast
+        # over (species, member, grid, grid).
+        p = params
+        self._alpha = np.array([[p.alpha11, p.alpha12], [p.alpha21, p.alpha22]]).reshape(2, 2, 1, 1, 1)
+        self._cross, self._self_rate, self._other_rate = np.array(
+            [[p.b11, p.b22], [p.b1, p.c2], [p.c1, p.b2]]).reshape(3, 2, 1, 1, 1)
+        self.last_blocks = None
 
     @classmethod
     def for_order(cls, params: ModelParams, n: int) -> "RhsAssembler":
         return cls(params, n)
 
-    def linear_blocks(self, y: np.ndarray) -> np.ndarray:
-        """The 2x2 linear block of every mode at the mean of the packed state y.
+    def _mean_terms(self, mu: np.ndarray):
+        """The linear blocks and the mean-mode reactions of a batch at its means.
 
-        Returns L of shape (2, 2, n+1, n+1): L[:, :, j, k] is the block
-        -(j^2 + k^2) A + J at (u_bar, v_bar), with A the cross-diffusion
-        matrix and J the reaction Jacobian, so that the linear part of the
-        derivative of species r is L[r, 0] mu1 + L[r, 1] mu2.  The block of
-        mode (0, 0) is zero: the mean mode carries the reactions instead.
+        mu has shape (2, B, n+1, n+1).  Returns L of shape (2, 2, B, n+1, n+1),
+        where L[:, :, b, j, k] is the block -(j^2 + k^2) A + J of member b at
+        its (u_bar, v_bar), with A the cross-diffusion matrix and J the
+        reaction Jacobian, so that the linear part of the derivative of
+        species r is L[r, 0] mu1 + L[r, 1] mu2; the block of mode (0, 0) is
+        zero.  Also returns pi*(f, g)(u_bar, v_bar), shape (2, B).  The
+        scalars are formed per member in Python floats: on one member that
+        costs less than numpy scalars.
         """
         p = self.params
-        w = self.n + 1
-        u_bar, v_bar = y[0] / np.pi, y[w * w] / np.pi
-        fc = flux_coeffs(p, u_bar, v_bar)
-        A = np.array([[fc.Pu, fc.Pv], [fc.Qu, fc.Qv]])
-        J = np.array([[p.a1 - 2.0 * p.b1 * u_bar + p.c1 * v_bar, p.c1 * u_bar],
-                      [p.b2 * v_bar, p.a2 + p.b2 * u_bar - 2.0 * p.c2 * v_bar]])
-        L = J[:, :, None, None] - A[:, :, None, None] * self._eig
-        L[:, :, 0, 0] = 0.0
-        return L
+        rows = []
+        for u_mode, v_mode in zip(*mu[:, :, 0, 0].tolist()):
+            u, v = u_mode / np.pi, v_mode / np.pi
+            fc = flux_coeffs(p, u, v)
+            f, g = reactions(p, u, v)
+            rows.append((fc.Pu, fc.Pv, fc.Qu, fc.Qv,
+                         p.a1 - 2.0 * p.b1 * u + p.c1 * v, p.c1 * u,
+                         p.b2 * v, p.a2 + p.b2 * u - 2.0 * p.c2 * v,
+                         np.pi * f, np.pi * g))
+        terms = np.array(rows).T
+        A = terms[:4].reshape(2, 2, -1, 1, 1)
+        J = terms[4:8].reshape(2, 2, -1, 1, 1)
+        L = J - A * self._eig
+        L[..., 0, 0] = 0.0
+        return L, terms[8:]
 
     def rhs_flat(self, y: np.ndarray) -> np.ndarray:
-        """Derivative of the packed coefficient vector [mu1.ravel(), mu2.ravel()]."""
-        p = self.params
+        """Derivative of the packed coefficient vector [mu1.ravel(), mu2.ravel()].
+
+        y may also be a species-leading batch of shape (2, B, n+1, n+1); the
+        result has the shape of y, and each member's derivative is bit for
+        bit the one it gets alone.  The linear blocks at the means are left
+        in last_blocks (shape (2, 2, B, n+1, n+1)), where the time stepper
+        takes them as the next step's frozen linear part.
+        """
         C, D = self._C, self._D
         w = self.n + 1
-        mu = y.reshape(2, w, w).copy()
-        u_bar, v_bar = mu[0, 0, 0] / np.pi, mu[1, 0, 0] / np.pi
-        mu[:, 0, 0] = 0.0
+        mu = y.reshape(2, -1, w, w).copy()
+        L, mean_reactions = self._mean_terms(mu)
+        self.last_blocks = L
+        mu[:, :, 0, 0] = 0.0
 
         # Linear part at the mean.
-        L = self.linear_blocks(y)
         out = L[:, 0] * mu[0] + L[:, 1] * mu[1]
-        f, g = reactions(p, u_bar, v_bar)
-        out[0, 0, 0] += np.pi * f
-        out[1, 0, 0] += np.pi * g
+        out[:, :, 0, 0] += mean_reactions
 
-        # Quadratic part of the deviation, by the 3/2-rule grid.
+        # Quadratic part of the deviation, by the 3/2-rule grid: g holds
+        # (u, v), gx and gy their derivatives, and species r is paired with
+        # the other one through g[::-1].
         cm = C.T @ mu
-        u, v = cm @ C
-        ux, vx = (D.T @ mu) @ C
-        uy, vy = cm @ D
-        s1 = p.alpha11 * u + p.alpha12 * v
-        s2 = p.alpha21 * u + p.alpha22 * v
-        px = np.stack([s1 * ux + p.b11 * u * vx, s2 * vx + p.b22 * v * ux])
-        py = np.stack([s1 * uy + p.b11 * u * vy, s2 * vy + p.b22 * v * uy])
-        r = np.stack([u * (p.b1 * u - p.c1 * v), v * (p.c2 * v - p.b2 * u)])
+        g = cm @ C
+        gx = (D.T @ mu) @ C
+        gy = cm @ D
+        s = self._alpha[:, 0] * g[0] + self._alpha[:, 1] * g[1]
+        bg = self._cross * g
+        px = s * gx + bg * gx[::-1]
+        py = s * gy + bg * gy[::-1]
+        r = g * (self._self_rate * g - self._other_rate * g[::-1])
         out -= self._cell * (D @ px @ C.T + C @ (py @ D.T + r @ C.T))
-        return out.ravel()
+        return out.reshape(y.shape)
 
     def rhs(self, state: SpectralState):
         if state.n != self.n:

@@ -1,25 +1,36 @@
 """Adaptive time integration and run orchestration.
 
 The coefficient ODE system y' = F(y) is split as y' = L y + N(y), with L the
-per-mode 2x2 linear blocks of RhsAssembler.linear_blocks frozen at the
-spatial mean of each step's start (zero on the mean mode) and N = F - L y.
-Each step is the integrating-factor ("Lawson") form of the embedded
-Dormand-Prince 5(4) pair: every stage carries the exact block exponentials
-exp(theta h L), so the stiff diffusion of high modes sets no stability limit
-and the step is chosen by accuracy alone.  It keeps six rhs calls per
-attempt with FSAL stage reuse, PI step-size control, and a weighted
-max-norm error test err = max |e_i| / (atol + rtol*max(|y_i|, |y_new_i|)) <= 1.
-A homogeneous state stays homogeneous exactly.  Runs record diagnostics on a
-fixed snapshot cadence, classify the outcome as steady_state, t_max_reached,
-blow_up (with the reason step_underflow or sup_threshold), or
-step_budget_exhausted, and count accepted steps, rejected attempts and rhs
-evaluations.  A run evaluates the rhs once at the initial state and then
-only inside step attempts: every snapshot time is a step end, so the
-diagnostics there read the derivative the stepper already holds, and
-rhs_evals = 6 * (accepted + rejected) + 1.  save_run writes a run directory:
-manifest.json and snapshots.npy, every snapshot's exact coefficients, which
-load_snapshots reads back as states.  The flux-form finite-volume solver
-that cross-checks these runs is reference.fd_reference.
+per-mode 2x2 linear blocks that RhsAssembler.rhs_flat forms at the spatial
+mean, frozen at the mean of each step's start (zero on the mean mode), and
+N = F - L y.  Each step is the integrating-factor ("Lawson") form of the
+embedded Dormand-Prince 5(4) pair: every stage carries the exact block
+exponentials exp(theta h L), so the stiff diffusion of high modes sets no
+stability limit and the step is chosen by accuracy alone.  It keeps six rhs
+calls per attempt with FSAL stage reuse, PI step-size control, and a
+weighted max-norm error test
+err = max |e_i| / (atol + rtol*max(|y_i|, |y_new_i|)) <= 1.  A homogeneous
+state stays homogeneous exactly.
+
+A Batch integrates runs that share parameters and a RunConfig in lockstep.
+Each round makes one attempt for every running member, each with its own
+time, step size, frozen L and controller state: one block-exponential
+evaluation, one set of stage rows and six rhs calls on a species-leading
+(2, B, n+1, n+1) state serve them all, and a member leaves the batch when it
+finishes.  Every operation acts member by member, so a run's output does not
+depend on the batch it ran in; run is a batch of one.
+
+Runs record diagnostics on a fixed snapshot cadence, classify the outcome as
+steady_state, t_max_reached, blow_up (with the reason step_underflow or
+sup_threshold), or step_budget_exhausted, and count accepted steps, rejected
+attempts and rhs evaluations per run.  A run evaluates the rhs once at the
+initial state and then only inside step attempts: every snapshot time is a
+step end, so the diagnostics there read the derivative the stepper already
+holds, and rhs_evals = 6 * (accepted + rejected) + 1 for every member,
+whatever the batch.  save_run writes a run directory: manifest.json and
+snapshots.npy, every snapshot's exact coefficients, which load_snapshots
+reads back as states.  The flux-form finite-volume solver that cross-checks
+these runs is reference.fd_reference.
 """
 
 from __future__ import annotations
@@ -42,8 +53,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "DiagnosticRecord",
-    "StepUnderflow",
-    "step_adaptive",
+    "Batch",
     "run",
     "diagnostics",
     "save_run",
@@ -94,7 +104,7 @@ def _lawson_tableau():
         for j, (theta, w) in enumerate(row):
             index[i, j] = thetas.index(theta)
             weight[i, j] = float(w)
-    return np.array([float(theta) for theta in thetas])[:, None, None], index, weight
+    return np.array([float(theta) for theta in thetas]), index, weight
 
 
 _THETA, _ROW_THETA, _ROW_WEIGHT = _lawson_tableau()
@@ -106,15 +116,6 @@ _FAC_MAX = 5.0
 # PI exponents for a 5th-order error estimate.
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
-
-
-class StepUnderflow(RuntimeError):
-    """Step size collapsed below the resolvable scale: stiffness or blow-up."""
-
-
-def _error_norm(e: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, atol: float) -> float:
-    sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    return float(np.max(np.abs(e) / sc))
 
 
 def _block_exp(L: np.ndarray, t) -> np.ndarray:
@@ -161,111 +162,100 @@ def _block_exp(L: np.ndarray, t) -> np.ndarray:
 
 
 def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-mode 2x2 blocks M (shape (2, 2, w, w)) applied to x (shape (2, w, w))."""
+    """Per-mode 2x2 blocks M (shape (2, 2) + S) applied to x (shape (2,) + S)."""
     return M[:, 0] * x[0] + M[:, 1] * x[1]
 
 
-def _attempt(fun, L: np.ndarray, y: np.ndarray, n1: np.ndarray, h: float):
-    """One Lawson trial step of size h on y' = L y + N(y).
+def _attempt(assembler: RhsAssembler, L: np.ndarray, y: np.ndarray, f: np.ndarray, h: np.ndarray):
+    """One Lawson trial step of size h[b] on y' = L y + N(y) for every member b.
 
-    L has shape (2, 2, w, w); y and n1 = N(y) have shape (2, w, w).  Returns
-    (y_new, error vector, F(y_new)), the last for the next step's first
-    stage (FSAL).
+    Members lie on axis 1 of y and of f = F(y), shape (2, B, w, w), and on
+    axis 2 of L, shape (2, 2, B, w, w).  Returns (y_new, error vector,
+    F(y_new)), each shaped like y; the rhs leaves the linear blocks of y_new
+    in assembler.last_blocks for the next step (FSAL).
     """
-    E = _block_exp(L, h * _THETA)
-    W = h * _ROW_WEIGHT
-    W[:, 0] = _ROW_WEIGHT[:, 0]
+    E = _block_exp(L, np.multiply.outer(_THETA, h)[:, :, None, None])
+    W = h[:, None, None] * _ROW_WEIGHT
+    W[:, :, 0] = _ROW_WEIGHT[:, 0]
     V = np.empty((8,) + y.shape)
-    V[0], V[1] = y, n1
+    V[0] = y
+    V[1] = f - _apply(L, y)
 
     def row(i, cols):
-        return np.einsum("rsjab,j,jsab->rab", E[:, :, _ROW_THETA[i, cols]], W[i, cols], V[cols])
+        return np.einsum("rsjbxy,bj,jsbxy->rbxy",
+                         E[:, :, _ROW_THETA[i, cols]], W[:, i, cols], V[cols])
 
     for i in range(1, 7):
         Y = row(i, slice(0, i + 1))
-        f = fun(Y.ravel())
-        V[i + 1] = f.reshape(y.shape) - _apply(L, Y)
+        f = assembler.rhs_flat(Y)
+        V[i + 1] = f - _apply(L, Y)
     # c_6 = 1 and row 6 holds the 5th-order weights, so Y_6 is the new state.
-    return Y.ravel(), row(7, slice(1, 8)).ravel(), f
+    return Y, row(7, slice(1, 8)), f
 
 
-def _step_core(work: "_Work", t: float, y: np.ndarray, dt_try: float, rtol: float, atol: float,
-               err_prev: Optional[float], dt_max: float, f1: np.ndarray):
-    """Advance one accepted Lawson DP5 step; returns (y_new, dt_used, dt_next, err, F(y_new)).
-
-    The linear part L is frozen at the mean of y for every attempt of the
-    step; f1 = F(y), which a run carries over from the previous step (FSAL).
-    """
-    dt = min(dt_try, dt_max)
-    L = work.assembler.linear_blocks(y)
-    y2 = y.reshape(L.shape[1:])
-    n1 = f1.reshape(y2.shape) - _apply(L, y2)
-    rejected = False
-    while True:
-        if dt < _UNDERFLOW_FLOOR * max(1.0, abs(t)):
-            raise StepUnderflow(f"step size {dt} underflowed at t = {t}")
-        y_new, err_vec, f_new = _attempt(work.rhs, L, y2, n1, dt)
-        if not np.all(np.isfinite(y_new)):
-            err = math.inf
-        else:
-            err = _error_norm(err_vec, y, y_new, rtol, atol)
-        if err <= 1.0:
-            break
-        rejected = True
-        work.steps_rejected += 1
-        shrink = max(0.1, _FAC_SAFETY * (err ** -0.2)) if math.isfinite(err) else 0.1
-        dt *= min(shrink, 1.0)
-
-    err_ctl = max(err, 1e-10)
-    fac = _FAC_SAFETY * err_ctl ** (-_PI_ALPHA)
-    if err_prev is not None:
-        fac *= max(err_prev, 1e-10) ** _PI_BETA
-    fac = min(_FAC_MAX if not rejected else 1.0, max(_FAC_MIN, fac))
-    dt_next = min(dt * fac, dt_max)
-    return y_new, dt, dt_next, err, f_new
+def _error_norms(e: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, atol: float) -> list:
+    """Each member's weighted max-norm of e; inf where y_new is not finite."""
+    with np.errstate(invalid="ignore"):
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = (np.abs(e) / sc).max(axis=(0, 2, 3))
+    finite = np.isfinite(y_new).all(axis=(0, 2, 3))
+    return [value if ok else math.inf for value, ok in zip(err.tolist(), finite.tolist())]
 
 
-class _Work:
-    """An assembler's rhs with deterministic work counts."""
+class _Control:
+    """Step-size control of one member: PI controller, rejections, counts."""
 
-    def __init__(self, assembler: RhsAssembler):
-        self.assembler = assembler
-        self.rhs_evals = 0
+    def __init__(self, t: float, dt_next: float):
+        self.t = t
+        self.dt_next = dt_next
+        self.err_prev: Optional[float] = None
+        self.n_steps = 0
         self.steps_rejected = 0
 
-    def rhs(self, y: np.ndarray) -> np.ndarray:
-        self.rhs_evals += 1
-        return self.assembler.rhs_flat(y)
+    def begin(self, dt_max: float) -> None:
+        """Start a step of at most dt_max; its first attempt tries dt_next."""
+        self.dt_max = dt_max
+        self.dt = min(self.dt_next, dt_max)
+        self.rejected = False
+
+    def underflows(self) -> bool:
+        """The next attempt would be below the resolvable scale: stiffness or blow-up."""
+        return self.dt < _UNDERFLOW_FLOOR * max(1.0, abs(self.t))
+
+    def settle(self, err: float) -> bool:
+        """Accept the attempt of size dt (True) or shrink dt for another (False)."""
+        if not err <= 1.0:
+            self.rejected = True
+            self.steps_rejected += 1
+            shrink = max(0.1, _FAC_SAFETY * (err ** -0.2)) if math.isfinite(err) else 0.1
+            self.dt *= min(shrink, 1.0)
+            return False
+        fac = _FAC_SAFETY * max(err, 1e-10) ** (-_PI_ALPHA)
+        if self.err_prev is not None:
+            fac *= max(self.err_prev, 1e-10) ** _PI_BETA
+        fac = min(_FAC_MAX if not self.rejected else 1.0, max(_FAC_MIN, fac))
+        self.dt_next = min(self.dt * fac, self.dt_max)
+        self.err_prev = err
+        self.t += self.dt
+        self.n_steps += 1
+        return True
 
 
-def _pack(state: SpectralState) -> np.ndarray:
-    return np.concatenate([state.mu1.ravel(), state.mu2.ravel()])
+def _round(assembler: RhsAssembler, y: np.ndarray, f: np.ndarray, L: np.ndarray,
+           controls: list, rtol: float, atol: float):
+    """One lockstep round: an attempt of size c.dt for each member's control c.
 
-
-def _unpack(y: np.ndarray, n: int, t: float) -> SpectralState:
-    w = n + 1
-    m = w * w
-    return SpectralState(y[:m].reshape(w, w).copy(), y[m:].reshape(w, w).copy(), t)
-
-
-def step_adaptive(assembler: RhsAssembler, state: SpectralState, dt_suggest: float,
-                  rtol: float, atol: float, err_prev: Optional[float] = None,
-                  dt_max: float = math.inf):
-    """One accepted Lawson DP5 step of the coefficient system.
-
-    Returns (new state, dt_used, dt_next, err_est).  err_prev feeds the PI
-    controller; callers chaining steps should pass the previous err_est.
-    Raises StepUnderflow when the error control collapses the step.
+    Settles every control and returns (y, f, L, accepted): accepted members
+    carry their new state, its F and its linear blocks, and the others keep
+    theirs for a shorter attempt.
     """
-    if not (rtol > 0 and atol > 0):
-        raise ValueError(f"tolerances must be positive, got rtol={rtol}, atol={atol}")
-    if not dt_suggest > 0:
-        raise ValueError(f"dt_suggest must be positive, got {dt_suggest}")
-    y = _pack(state)
-    work = _Work(assembler)
-    y_new, dt_used, dt_next, err, _ = _step_core(
-        work, state.t, y, dt_suggest, rtol, atol, err_prev, dt_max, work.rhs(y))
-    return _unpack(y_new, state.n, state.t + dt_used), dt_used, dt_next, err
+    y_new, e, f_new = _attempt(assembler, L, y, f, np.array([c.dt for c in controls]))
+    L_new = assembler.last_blocks
+    accepted = [c.settle(err) for c, err in zip(controls, _error_norms(e, y, y_new, rtol, atol))]
+    if all(accepted):
+        return y_new, f_new, L_new, accepted
+    mask = np.array(accepted)[:, None, None]
+    return np.where(mask, y_new, y), np.where(mask, f_new, f), np.where(mask, L_new, L), accepted
 
 
 @dataclass(frozen=True)
@@ -358,8 +348,8 @@ def diagnostics(state: SpectralState, dy: np.ndarray,
                 cert: Optional[LyapunovCert] = None, level: float = 0.0) -> DiagnosticRecord:
     """Synthesized-field diagnostics at one instant.
 
-    dy is the packed derivative [dmu1.ravel(), dmu2.ravel()] of the state,
-    which a run already holds from its stepper.  Masses come from the
+    dy is the derivative of the state, packed as [dmu1.ravel(), dmu2.ravel()]
+    or of shape (2, n+1, n+1), which a run already holds from its stepper.  Masses come from the
     constant mode (mu_00 * pi); extrema, max_H, and the level-set functional
     L are read off the diagnostic grid of 4(n+1) points per axis; rhs_norm
     is the Frobenius norm of dy, summed per species.
@@ -384,87 +374,163 @@ def diagnostics(state: SpectralState, dy: np.ndarray,
     )
 
 
-def _sup_bound(y: np.ndarray, m: int) -> float:
+def _sup_bound(y: np.ndarray) -> float:
     # sup|field| <= (2/pi) * sum|mu| since every |phi_jk| <= 2/pi.
-    return (2.0 / np.pi) * max(float(np.sum(np.abs(y[:m]))), float(np.sum(np.abs(y[m:]))))
+    return (2.0 / np.pi) * max(float(np.sum(np.abs(y[0]))), float(np.sum(np.abs(y[1]))))
+
+
+class _Member(_Control):
+    """One run of a batch: its step control, snapshot records and outcome.
+
+    Methods get the batch, which holds what its members share (it is passed,
+    not stored, so that no reference cycle keeps finished batches alive),
+    and the member's state y and derivative f, each of shape (2, n+1, n+1).
+    """
+
+    def __init__(self, config: "RunConfig", projection, level: float):
+        super().__init__(0.0, min(0.01, config.snapshot_dt))
+        self.projection = projection
+        self.level = level
+        self.rhs_evals = 1
+        self.target = 0
+        self.streak = 0
+        self.timeseries: list = []
+        self.snapshots: list = []
+        self.result: Optional[RunResult] = None
+        # (y, F(y), L) at the start, each with a member axis of length 1
+        self.start = None
+
+    def finish(self, batch: "Batch", outcome: str, y: np.ndarray, t: float,
+               reason: Optional[str] = None) -> None:
+        self.result = RunResult(outcome, SpectralState(y[0].copy(), y[1].copy(), t),
+                                self.timeseries, self.snapshots, batch.conditions, batch.cert,
+                                self.level, self.projection, batch.config, batch.params,
+                                self.n_steps, self.steps_rejected, self.rhs_evals, reason)
+
+    def stepped(self, batch: "Batch", y: np.ndarray, f: np.ndarray) -> None:
+        """After an accepted step: the blow-up test, then advance."""
+        config = batch.config
+        if _sup_bound(y) > config.blowup_threshold:
+            u, v = synthesize(SpectralState(y[0].copy(), y[1].copy(), self.t), 4 * (config.n + 1))
+            if max(float(np.abs(u).max()), float(np.abs(v).max())) > config.blowup_threshold:
+                return self.finish(batch, OUTCOME_BLOWUP, y, self.t, REASON_SUP)
+        self.advance(batch, y, f)
+
+    def advance(self, batch: "Batch", y: np.ndarray, f: np.ndarray) -> None:
+        """Record the snapshots reached, then start the next step or finish.
+
+        Steady state requires the rhs norm to sit below
+        steady_tol*(1 + state norm) at two consecutive snapshots.  A step
+        whose first attempt falls below the resolvable scale ends the run in
+        blow_up (step_underflow), as does a rejection that shrinks an attempt
+        below it.
+        """
+        config = batch.config
+        targets = batch.targets
+        while True:
+            t_target = targets[self.target]
+            if self.t < t_target - 1e-12 * max(1.0, t_target):
+                if self.n_steps >= config.max_steps:
+                    return self.finish(batch, OUTCOME_BUDGET, y, self.t)
+                self.begin(t_target - self.t)
+                if self.underflows():
+                    self.finish(batch, OUTCOME_BLOWUP, y, self.t, REASON_UNDERFLOW)
+                return
+            state = SpectralState(y[0].copy(), y[1].copy(), t_target)
+            record = diagnostics(state, f, batch.cert, self.level)
+            self.timeseries.append(record)
+            self.snapshots.append(state)
+            if record.rhs_norm < config.steady_tol * (1.0 + _state_norm(state)):
+                self.streak += 1
+                if self.streak >= 2:
+                    return self.finish(batch, OUTCOME_STEADY, y, t_target)
+            else:
+                self.streak = 0
+            self.target += 1
+            if self.target == len(targets):
+                return self.finish(batch, OUTCOME_TMAX, y, t_target)
+
+
+class Batch:
+    """Runs that share parameters and a RunConfig, integrated in lockstep.
+
+    The condition report, the certificate search and the rhs assembler are
+    made once for the batch.  add sets up one run; integrate steps every run
+    to its outcome and returns the RunResults in the order of add.  Each
+    round makes one Lawson DP5 attempt for every running member, and a
+    member leaves the batch as it finishes.  A run's result is bit for bit
+    the one it gets in a batch of one.
+    """
+
+    def __init__(self, params: ModelParams, config: RunConfig):
+        self.params = params
+        self.config = config.validate()
+        self.conditions = check_conditions(params)
+        try:
+            self.cert = find_certificate(params)
+        except PreconditionError:
+            self.cert = None
+        self.assembler = RhsAssembler.for_order(params, config.n)
+        # Snapshot targets start at the initial state.
+        dt = config.snapshot_dt
+        self.targets = [i * dt for i in range(int(config.t_max / dt + 1e-9) + 1)]
+        if self.targets[-1] < config.t_max - 1e-12 * config.t_max:
+            self.targets.append(config.t_max)
+        self.members: list = []
+
+    def add(self, ic_u, ic_v) -> None:
+        """Set up one run: project the initial pair, evaluate its first rhs
+        and record its first snapshot.
+
+        The level for the L functional is the max of H over the initial
+        fields.  Bad initial data raises and leaves the batch as it was.
+        """
+        n = self.config.n
+        state, projection = project_initial(ic_u, ic_v, n)
+        if self.cert is not None:
+            u0, v0 = synthesize(state, 4 * (n + 1))
+            level = float(np.max(eval_H(self.cert, u0, v0).H))
+        else:
+            level = 0.0
+        y = np.stack([state.mu1, state.mu2])[:, None]
+        # F(y), kept current by every step (FSAL); the diagnostics read it too.
+        f = self.assembler.rhs_flat(y)
+        member = _Member(self.config, projection, level)
+        member.advance(self, y[:, 0], f[:, 0])
+        member.start = (y, f, self.assembler.last_blocks)
+        self.members.append(member)
+
+    def integrate(self) -> list:
+        """Step every member to its outcome; returns the results in the order of add."""
+        live = [m for m in self.members if m.result is None]
+        if live:
+            ys, fs, Ls = zip(*(m.start for m in live))
+            y, f, L = np.concatenate(ys, axis=1), np.concatenate(fs, axis=1), np.concatenate(Ls, axis=2)
+        while live:
+            y, f, L, accepted = _round(self.assembler, y, f, L, live,
+                                       self.config.rtol, self.config.atol)
+            for b, (m, ok) in enumerate(zip(live, accepted)):
+                m.rhs_evals += 6
+                if ok:
+                    m.stepped(self, y[:, b], f[:, b])
+                elif m.underflows():
+                    m.finish(self, OUTCOME_BLOWUP, y[:, b], m.t, REASON_UNDERFLOW)
+            if any(m.result is not None for m in live):
+                keep = [b for b, m in enumerate(live) if m.result is None]
+                live = [live[b] for b in keep]
+                y, f, L = y[:, keep], f[:, keep], L[:, :, keep]
+        return [m.result for m in self.members]
 
 
 def run(params: ModelParams, config: RunConfig, ic_u, ic_v) -> RunResult:
-    """Integrate from projected initial data and classify the outcome.
+    """Integrate from projected initial data and classify the outcome: a batch of one.
 
     The condition report and (when the search applies) a certificate are
-    attached to the result; the level for the L functional is the max of H
-    over the initial fields.  Steady state requires the RHS norm to sit below
-    steady_tol*(1 + state norm) at two consecutive snapshots.
+    attached to the result.
     """
-    config.validate()
-    conditions = check_conditions(params)
-    try:
-        cert = find_certificate(params)
-    except PreconditionError:
-        cert = None
-
-    state, projection = project_initial(ic_u, ic_v, config.n)
-    assembler = RhsAssembler.for_order(params, config.n)
-    res = 4 * (config.n + 1)
-    m = (config.n + 1) ** 2
-
-    if cert is not None:
-        u0, v0 = synthesize(state, res)
-        level = float(np.max(eval_H(cert, u0, v0).H))
-    else:
-        level = 0.0
-
-    # Snapshot targets start at the initial state.
-    targets = [i * config.snapshot_dt for i in range(int(config.t_max / config.snapshot_dt + 1e-9) + 1)]
-    if targets[-1] < config.t_max - 1e-12 * config.t_max:
-        targets.append(config.t_max)
-
-    work = _Work(assembler)
-    y = _pack(state)
-    # F(y), kept current by every step (FSAL); the diagnostics read it too.
-    f = work.rhs(y)
-    t = 0.0
-    dt_next = min(0.01, config.snapshot_dt)
-    err_prev = None
-    n_steps = 0
-    timeseries = []
-    snapshots = []
-    streak = 0
-
-    def finish(outc, yy, tt, reason=None):
-        return RunResult(outc, _unpack(yy, config.n, tt), timeseries, snapshots,
-                         conditions, cert, level, projection, config, params, n_steps,
-                         work.steps_rejected, work.rhs_evals, reason)
-
-    for t_target in targets:
-        while t < t_target - 1e-12 * max(1.0, t_target):
-            if n_steps >= config.max_steps:
-                return finish(OUTCOME_BUDGET, y, t)
-            try:
-                y, dt_used, dt_next, err_prev, f = _step_core(
-                    work, t, y, dt_next, config.rtol, config.atol, err_prev, t_target - t, f)
-            except StepUnderflow:
-                return finish(OUTCOME_BLOWUP, y, t, REASON_UNDERFLOW)
-            t += dt_used
-            n_steps += 1
-            if _sup_bound(y, m) > config.blowup_threshold:
-                fields = synthesize(_unpack(y, config.n, t), res)
-                if max(float(np.abs(fields[0]).max()), float(np.abs(fields[1]).max())) > config.blowup_threshold:
-                    return finish(OUTCOME_BLOWUP, y, t, REASON_SUP)
-
-        state = _unpack(y, config.n, t_target)
-        record = diagnostics(state, f, cert, level)
-        timeseries.append(record)
-        snapshots.append(state)
-        if record.rhs_norm < config.steady_tol * (1.0 + _state_norm(state)):
-            streak += 1
-            if streak >= 2:
-                return finish(OUTCOME_STEADY, y, t_target)
-        else:
-            streak = 0
-
-    return finish(OUTCOME_TMAX, y, targets[-1])
+    batch = Batch(params, config)
+    batch.add(ic_u, ic_v)
+    return batch.integrate()[0]
 
 
 def _state_norm(state: SpectralState) -> float:

@@ -95,9 +95,10 @@ def test_check_missing_file(capsys, tmp_path):
     ["certify", "case1", "--kmax", "1e200"],
     ["check", "{huge}"],
     ["certify", "{huge}"],
+    ["sweep", "{huge}", "--n", "2", "--out", "{out}"],
 ], ids=["check", "certify", "run", "sweep", "run-ic-file", "run-ic-fractional-j", "run-ic-negative-j",
         "run-ic-empty-value", "sweep-snapshot-dt", "certify-kmax-inf", "certify-kmax-1e200", "check-huge",
-        "certify-huge"])
+        "certify-huge", "sweep-huge"])
 def test_bad_input_exits_one_with_an_error_line(capsys, tmp_path, argv):
     # huge.json has condition sides beyond the double range.
     paths = {"missing": tmp_path / "nope.json", "out": tmp_path / "out",
@@ -379,14 +380,14 @@ def test_sweep_records_failed_cells(capsys, tmp_path, monkeypatch):
     clean = json.loads((tmp_path / "clean" / "sweep_manifest.json").read_text())
     assert clean["failures"] == []
 
-    real_run = cli.run
+    real_add = cli.Batch.add
 
-    def failing_run(p, config, ic_u, ic_v):
+    def failing_add(batch, ic_u, ic_v):
         if ic_u is SWEEP_SHAPES["B"] and ic_v is SWEEP_SHAPES["C"]:
             raise RuntimeError("cell B/C failed on purpose")
-        return real_run(p, config, ic_u, ic_v)
+        return real_add(batch, ic_u, ic_v)
 
-    monkeypatch.setattr(cli, "run", failing_run)
+    monkeypatch.setattr(cli.Batch, "add", failing_add)
     out_dir = tmp_path / "sweep"
     code, out, _ = run_cli(capsys, *args, "--out", str(out_dir))
     assert code == 1
@@ -396,3 +397,34 @@ def test_sweep_records_failed_cells(capsys, tmp_path, monkeypatch):
     assert ("B", "C") not in {(r["u_ic"], r["v_ic"]) for r in manifest["runs"]}
     assert manifest["failures"] == [
         {"u_ic": "B", "v_ic": "C", "error": "cell B/C failed on purpose"}]
+
+
+def test_sweep_records_failed_saves(capsys, tmp_path, monkeypatch):
+    real_save = cli.save_run
+
+    def failing_save(result, out_dir):
+        if out_dir.endswith("uA_vB"):
+            raise OSError("cannot write uA_vB")
+        return real_save(result, out_dir)
+
+    monkeypatch.setattr(cli, "save_run", failing_save)
+    out_dir = tmp_path / "sweep"
+    code, out, _ = run_cli(capsys, "sweep", "case1", "--n", "2", "--tmax", "1.0", "--out", str(out_dir))
+    assert code == 1
+    manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
+    assert manifest["failures"] == [{"u_ic": "A", "v_ic": "B", "error": "cannot write uA_vB"}]
+    assert len(manifest["runs"]) == 8
+    for entry in manifest["runs"]:
+        assert (out_dir / entry["out_dir"] / "manifest.json").is_file()
+
+
+def test_sweep_rerun_is_byte_identical(capsys, tmp_path):
+    for name in ("a", "b"):
+        code, _, _ = run_cli(capsys, "sweep", "case1", "--n", "2", "--tmax", "2",
+                             "--out", str(tmp_path / name))
+        assert code == 0
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())
+    assert len(files) == 1 + 2 * 9
+    assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*") if p.is_file())
+    for rel in files:
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel

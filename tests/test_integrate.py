@@ -8,15 +8,16 @@ import pytest
 from sktspec.cli import SWEEP_SHAPES
 from sktspec.galerkin import RhsAssembler, project_initial
 from sktspec.integrate import (
+    Batch,
     RunConfig,
-    StepUnderflow,
     _attempt,
     _block_exp,
+    _Control,
+    _round,
     diagnostics,
     load_snapshots,
     run,
     save_run,
-    step_adaptive,
 )
 from sktspec.lyapunov import LyapunovCert, eval_H
 from sktspec.model import coexistence_steady_state, params_from_dict, preset
@@ -42,12 +43,35 @@ def pack(state):
     return np.concatenate([state.mu1.ravel(), state.mu2.ravel()])
 
 
+class StepUnderflow(RuntimeError):
+    """The error control collapsed the step below the resolvable scale."""
+
+
+def step(asm, state, dt, rtol, atol, dt_max=math.inf):
+    """One accepted step from state through the batched stepper, as a batch of one.
+
+    The first attempt tries dt (capped at dt_max).  Returns (new state,
+    dt_used, dt_next, err_est); raises StepUnderflow where a run would end
+    in blow_up with the reason step_underflow.
+    """
+    y = np.stack([state.mu1, state.mu2])[:, None]
+    f = asm.rhs_flat(y)
+    L = asm.last_blocks
+    control = _Control(state.t, dt)
+    control.begin(dt_max)
+    accepted = [False]
+    while not accepted[0]:
+        if control.underflows():
+            raise StepUnderflow(f"step size {control.dt} underflowed at t = {control.t}")
+        y, f, L, accepted = _round(asm, y, f, L, [control], rtol, atol)
+    return SpectralState(y[0, 0], y[1, 0], control.t), control.dt, control.dt_next, control.err_prev
+
+
 def test_step_near_fixed_point_is_inert(case1):
     eq = coexistence_steady_state(case1)
     state = constant_state(3, *eq)
     asm = RhsAssembler.for_order(case1, 3)
-    new, dt_used, dt_next, err = step_adaptive(asm, state, 10.0, 1e-7, 1e-10,
-                                               dt_max=0.5)
+    new, dt_used, dt_next, err = step(asm, state, 10.0, 1e-7, 1e-10, dt_max=0.5)
     assert dt_used == 0.5
     assert dt_next == 0.5
     assert new.t == 0.5
@@ -64,7 +88,7 @@ def test_step_at_equilibrium_is_not_stability_limited(case2):
     asm = RhsAssembler.for_order(case2, 16)
     perturbed = state.copy()
     perturbed.mu1[16, 16] = 1e-6
-    new, dt_used, _, err = step_adaptive(asm, perturbed, 1.0, 1e-7, 1e-10, dt_max=1.0)
+    new, dt_used, _, err = step(asm, perturbed, 1.0, 1e-7, 1e-10, dt_max=1.0)
     assert dt_used == 1.0 and err <= 1.0
     assert np.abs(new.mu1 - state.mu1).max() < 1e-12
     assert np.abs(new.mu2 - state.mu2).max() < 1e-12
@@ -141,21 +165,12 @@ def test_block_exp_is_finite_and_quiet_for_stiff_blocks():
     assert not E[:, :, 1:].any()  # e^{-1e4} underflows to 0
 
 
-def test_step_guards(case1):
-    asm = RhsAssembler.for_order(case1, 2)
-    state = constant_state(2, 0.5, 0.5)
-    with pytest.raises(ValueError, match="tolerances"):
-        step_adaptive(asm, state, 0.1, -1e-7, 1e-10)
-    with pytest.raises(ValueError, match="dt_suggest"):
-        step_adaptive(asm, state, 0.0, 1e-7, 1e-10)
-
-
 def test_step_underflow_on_divergent_rhs(case1):
     asm = RhsAssembler.for_order(case1, 2)
     state = constant_state(2, 1e160, 1e160)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StepUnderflow):
-            step_adaptive(asm, state, 1.0, 1e-7, 1e-10)
+            step(asm, state, 1.0, 1e-7, 1e-10)
 
 
 def test_rejection_shrinks_step(case2, rng):
@@ -166,7 +181,7 @@ def test_rejection_shrinks_step(case2, rng):
     mu1[0, 0] += np.pi
     mu2[0, 0] += np.pi
     state = SpectralState(mu1, mu2, 0.0)
-    new, dt_used, dt_next, err = step_adaptive(asm, state, 50.0, 1e-10, 1e-12)
+    new, dt_used, dt_next, err = step(asm, state, 50.0, 1e-10, 1e-12)
     assert dt_used < 50.0
     assert err <= 1.0
     assert new.t == dt_used
@@ -175,7 +190,7 @@ def test_rejection_shrinks_step(case2, rng):
 def integrate_fixed(asm, state, dt, n_steps, rtol=1e6, atol=1e6):
     # Tolerances so loose that every step is accepted at exactly dt.
     for _ in range(n_steps):
-        state, used, _, _ = step_adaptive(asm, state, dt, rtol, atol, dt_max=dt)
+        state, used, _, _ = step(asm, state, dt, rtol, atol, dt_max=dt)
         assert used == dt
     return state
 
@@ -193,8 +208,7 @@ def test_fifth_order_convergence(case1, rng):
     T = 0.25
     ref = start
     while ref.t < T - 1e-15:
-        ref, _, _, _ = step_adaptive(asm, ref, T - ref.t, 1e-12, 1e-14,
-                                     dt_max=T - ref.t)
+        ref, _, _, _ = step(asm, ref, T - ref.t, 1e-12, 1e-14, dt_max=T - ref.t)
     ref_y = np.concatenate([ref.mu1.ravel(), ref.mu2.ravel()])
 
     errs = []
@@ -274,7 +288,7 @@ def lawson_dp5_reference(asm, L, y, h):
     for j, k in modes:
         for s in range(7):
             err[:, j, k] += h * DP_E[s] * (factor(1.0 - DP_C[s], j, k) @ N[s][:, j, k])
-    return Y, err, F, N[0]
+    return Y, err, F
 
 
 @pytest.mark.parametrize("h", [0.1, 0.5])
@@ -285,13 +299,75 @@ def test_attempt_matches_plain_lawson_dp5(case2, rng, h):
     asm = RhsAssembler.for_order(case2, n)
     y = pack(constant_state(n, *coexistence_steady_state(case2)))
     y += 0.05 * rng.normal(size=y.size)
-    L = asm.linear_blocks(y)
-    y2 = y.reshape(L.shape[1:])
-    ref_y, ref_err, ref_f, n1 = lawson_dp5_reference(asm, L, y2, h)
-    y_new, err, f = _attempt(asm.rhs_flat, L, y2, n1, h)
+    y = y.reshape(2, 1, n + 1, n + 1)  # a batch of one
+    f = asm.rhs_flat(y)
+    L = asm.last_blocks
+    ref_y, ref_err, ref_f = lawson_dp5_reference(asm, L[:, :, 0], y[:, 0], h)
+    y_new, err, f = _attempt(asm, L, y, f, np.array([h]))
     for got, want, tol in ((y_new, ref_y, 1e-12), (f, ref_f, 1e-12), (err, ref_err, 1e-6)):
-        want = want.ravel()
+        got, want = got.ravel(), want.ravel()
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("members", [1, 3, 9])
+def test_batched_rhs_equals_member_calls(case2, n, members):
+    rng = np.random.default_rng([n, members])
+    asm = RhsAssembler.for_order(case2, n)
+    y = 0.3 * rng.normal(size=(2, members, n + 1, n + 1))
+    y[:, :, 0, 0] += np.pi
+    batched = asm.rhs_flat(y)
+    blocks = asm.last_blocks
+    for b in range(members):
+        alone = asm.rhs_flat(np.ascontiguousarray(y[:, b]).ravel())
+        assert np.array_equal(batched[:, b].ravel(), alone)
+        assert np.array_equal(blocks[:, :, b], asm.last_blocks[:, :, 0])
+
+
+def assert_same_run(got, want, tmp_path):
+    """Equal counts and outcome, and byte-equal run directories."""
+    assert (got.outcome, got.reason, got.n_steps, got.steps_rejected, got.rhs_evals) == (
+        want.outcome, want.reason, want.n_steps, want.steps_rejected, want.rhs_evals)
+    save_run(got, tmp_path / "batch")
+    save_run(want, tmp_path / "alone")
+    for name in ("manifest.json", "snapshots.npy"):
+        assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["case1", "case2"])
+def test_nine_cell_batch_equals_batches_of_one(name, tmp_path):
+    p = preset(name)
+    config = RunConfig(n=4)
+    labels = sorted(SWEEP_SHAPES)
+    pairs = [(SWEEP_SHAPES[lu], SWEEP_SHAPES[lv]) for lu in labels for lv in labels]
+    batch = Batch(p, config)
+    for ic_u, ic_v in pairs:
+        batch.add(ic_u, ic_v)
+    together = batch.integrate()
+    assert len(together) == 9
+    for i, ((ic_u, ic_v), result) in enumerate(zip(pairs, together)):
+        assert_same_run(result, run(p, config, ic_u, ic_v), tmp_path / str(i))
+
+
+def test_members_leave_a_mixed_batch_independently(case1, tmp_path):
+    # A Gaussian that runs to t_max, a constant at the coexistence state that
+    # settles after two snapshots, and a huge constant that exceeds the sup
+    # threshold: they leave at different rounds by different outcomes.
+    config = RunConfig(n=4, t_max=3.0)
+    u_star, v_star = coexistence_steady_state(case1)
+    ics = [(SWEEP_SHAPES["C"], SWEEP_SHAPES["A"]),
+           ({"type": "constant", "value": u_star}, {"type": "constant", "value": v_star}),
+           ({"type": "constant", "value": 1e7}, {"type": "constant", "value": 1e7})]
+    batch = Batch(case1, config)
+    for ic_u, ic_v in ics:
+        batch.add(ic_u, ic_v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        together = batch.integrate()
+        alone = [run(case1, config, ic_u, ic_v) for ic_u, ic_v in ics]
+    assert [r.outcome for r in together] == ["t_max_reached", "steady_state", "blow_up"]
+    assert len({r.n_steps + r.steps_rejected for r in together}) == 3
+    for i, (got, want) in enumerate(zip(together, alone)):
+        assert_same_run(got, want, tmp_path / str(i))
 
 
 def test_run_reaches_steady_state(case1):
