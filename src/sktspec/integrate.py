@@ -23,14 +23,18 @@ depend on the batch it ran in; run is a batch of one.
 Runs record diagnostics on a fixed snapshot cadence, classify the outcome as
 steady_state, t_max_reached, blow_up (with the reason step_underflow or
 sup_threshold), or step_budget_exhausted, and count accepted steps, rejected
-attempts and rhs evaluations per run.  A run evaluates the rhs once at the
-initial state and then only inside step attempts: every snapshot time is a
-step end, so the diagnostics there read the derivative the stepper already
-holds, and rhs_evals = 6 * (accepted + rejected) + 1 for every member,
-whatever the batch.  save_run writes a run directory: manifest.json and
-snapshots.npy, every snapshot's exact coefficients, which load_snapshots
-reads back as states.  The flux-form finite-volume solver that cross-checks
-these runs is reference.fd_reference.
+attempts and rhs evaluations per run, beside the range dt_min..dt_max of the
+accepted steps.  A run evaluates the rhs once at the initial state and then
+only inside step attempts: every snapshot time is a step end, so the
+diagnostics there read the derivative the stepper already holds, and
+rhs_evals = 6 * (accepted + rejected) + 1 for every member, whatever the
+batch.  A step cut short to land on a snapshot time, and accepted at its
+first attempt, leaves the controller's proposal and error history as they
+were, so the snapshot cadence does not throttle the step size.  save_run
+writes a run directory: manifest.json and snapshots.npy, every snapshot's
+exact coefficients, which load_snapshots reads back as states.  The
+flux-form finite-volume solver that cross-checks these runs is
+reference.fd_reference.
 """
 
 from __future__ import annotations
@@ -203,19 +207,28 @@ def _error_norms(e: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, a
 
 
 class _Control:
-    """Step-size control of one member: PI controller, rejections, counts."""
+    """Step-size control of one member: PI controller, rejections, counts.
+
+    dt_min and dt_max are the smallest and largest accepted step so far.
+    """
 
     def __init__(self, t: float, dt_next: float):
         self.t = t
         self.dt_next = dt_next
         self.err_prev: Optional[float] = None
+        self.err: Optional[float] = None
         self.n_steps = 0
         self.steps_rejected = 0
+        self.dt_min = math.inf
+        self.dt_max = 0.0
 
-    def begin(self, dt_max: float) -> None:
-        """Start a step of at most dt_max; its first attempt tries dt_next."""
-        self.dt_max = dt_max
-        self.dt = min(self.dt_next, dt_max)
+    def begin(self, reach: float) -> None:
+        """Start a step that ends at most reach ahead; its first attempt tries dt_next.
+
+        A step cut short to end at reach (a snapshot time) is a landing step.
+        """
+        self.landing = reach < self.dt_next
+        self.dt = min(self.dt_next, reach)
         self.rejected = False
 
     def underflows(self) -> bool:
@@ -223,19 +236,28 @@ class _Control:
         return self.dt < _UNDERFLOW_FLOOR * max(1.0, abs(self.t))
 
     def settle(self, err: float) -> bool:
-        """Accept the attempt of size dt (True) or shrink dt for another (False)."""
+        """Accept the attempt of size dt (True) or shrink dt for another (False).
+
+        A landing step accepted at its first attempt leaves the proposal
+        dt_next and the PI history err_prev as they were: its length was set
+        by the snapshot, not by the error, so it says nothing about the next
+        step's size.  Every other accepted step proposes dt * fac.
+        """
+        self.err = err
         if not err <= 1.0:
             self.rejected = True
             self.steps_rejected += 1
             shrink = max(0.1, _FAC_SAFETY * (err ** -0.2)) if math.isfinite(err) else 0.1
             self.dt *= min(shrink, 1.0)
             return False
-        fac = _FAC_SAFETY * max(err, 1e-10) ** (-_PI_ALPHA)
-        if self.err_prev is not None:
-            fac *= max(self.err_prev, 1e-10) ** _PI_BETA
-        fac = min(_FAC_MAX if not self.rejected else 1.0, max(_FAC_MIN, fac))
-        self.dt_next = min(self.dt * fac, self.dt_max)
-        self.err_prev = err
+        if self.rejected or not self.landing:
+            fac = _FAC_SAFETY * max(err, 1e-10) ** (-_PI_ALPHA)
+            if self.err_prev is not None:
+                fac *= max(self.err_prev, 1e-10) ** _PI_BETA
+            self.dt_next = self.dt * min(_FAC_MAX if not self.rejected else 1.0, max(_FAC_MIN, fac))
+            self.err_prev = err
+        self.dt_min = min(self.dt_min, self.dt)
+        self.dt_max = max(self.dt_max, self.dt)
         self.t += self.dt
         self.n_steps += 1
         return True
@@ -330,6 +352,9 @@ class RunResult:
     steps_rejected: int = 0
     rhs_evals: int = 0
     reason: Optional[str] = None
+    # The smallest and largest accepted step; None when no step was accepted.
+    dt_min: Optional[float] = None
+    dt_max: Optional[float] = None
 
     def summary(self) -> dict:
         last = self.timeseries[-1]
@@ -340,6 +365,8 @@ class RunResult:
             "n_steps": self.n_steps,
             "steps_rejected": self.steps_rejected,
             "rhs_evals": self.rhs_evals,
+            "dt_min": self.dt_min,
+            "dt_max": self.dt_max,
             "final_diagnostics": last.to_dict(),
         }
 
@@ -405,7 +432,8 @@ class _Member(_Control):
         self.result = RunResult(outcome, SpectralState(y[0].copy(), y[1].copy(), t),
                                 self.timeseries, self.snapshots, batch.conditions, batch.cert,
                                 self.level, self.projection, batch.config, batch.params,
-                                self.n_steps, self.steps_rejected, self.rhs_evals, reason)
+                                self.n_steps, self.steps_rejected, self.rhs_evals, reason,
+                                *((self.dt_min, self.dt_max) if self.n_steps else (None, None)))
 
     def stepped(self, batch: "Batch", y: np.ndarray, f: np.ndarray) -> None:
         """After an accepted step: the blow-up test, then advance."""
@@ -543,12 +571,10 @@ def save_run(result: RunResult, out_dir) -> dict:
     snapshots.npy holds every snapshot's (mu1, mu2) as one float64 array of
     shape (snapshots, 2, n+1, n+1); manifest snapshot entry i gives the time
     of row i.  Output is deterministic: no timestamps, floats serialized by
-    repr, and np.save writes a fixed header and the raw data.
+    repr, and np.save writes a fixed header and the raw data.  A manifest
+    that is not strict JSON (a non-finite value) raises ValueError before
+    anything is written.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    np.save(os.path.join(out_dir, "snapshots.npy"),
-            np.stack([(state.mu1, state.mu2) for state in result.snapshots]))
-
     manifest = {
         "params": params_to_dict(result.params),
         "config": result.config.to_dict(),
@@ -557,6 +583,8 @@ def save_run(result: RunResult, out_dir) -> dict:
         "n_steps": result.n_steps,
         "steps_rejected": result.steps_rejected,
         "rhs_evals": result.rhs_evals,
+        "dt_min": result.dt_min,
+        "dt_max": result.dt_max,
         "final_time": result.final_state.t,
         "level": result.level,
         "conditions": result.conditions.to_dict(),
@@ -565,9 +593,12 @@ def save_run(result: RunResult, out_dir) -> dict:
         "timeseries": [rec.to_dict() for rec in result.timeseries],
         "snapshots": [{"t": state.t, "index": i} for i, state in enumerate(result.snapshots)],
     }
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    os.makedirs(out_dir, exist_ok=True)
+    np.save(os.path.join(out_dir, "snapshots.npy"),
+            np.stack([(state.mu1, state.mu2) for state in result.snapshots]))
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
     return manifest
 
 

@@ -104,12 +104,15 @@ def discriminants(p: ModelParams, cert: LyapunovCert):
 
 
 def _discriminants(p: ModelParams, lam: float, mu: float, K: float):
-    eps = K**2 - 1.0
-    delta_u = (p.b11 * lam - p.alpha11 + p.alpha21) ** 2 \
-        - 4.0 * p.alpha11 * p.alpha21 * eps
-    delta_v = (mu * p.b22 - p.alpha22 + p.alpha12) ** 2 \
-        - 4.0 * p.alpha12 * p.alpha22 * eps
-    delta_d = (p.d1 + p.d2) ** 2 - 4.0 * K**2 * p.d1 * p.d2
+    # Squares are products: float ** 2 raises OverflowError where x * x gives inf.
+    ksq = K * K
+    eps = ksq - 1.0
+    su = p.b11 * lam - p.alpha11 + p.alpha21
+    sv = mu * p.b22 - p.alpha22 + p.alpha12
+    sd = p.d1 + p.d2
+    delta_u = su * su - 4.0 * p.alpha11 * p.alpha21 * eps
+    delta_v = sv * sv - 4.0 * p.alpha12 * p.alpha22 * eps
+    delta_d = sd * sd - 4.0 * ksq * p.d1 * p.d2
     return delta_u, delta_v, delta_d
 
 
@@ -203,7 +206,7 @@ def _search_order(span: float):
     grid = [1.0 + 10.0 ** (-k) * span for k in range(_K_GRID_POINTS)]
     grid = [ksq for ksq in grid if ksq > 1.0]
     yield from ((ksq, True) for ksq in grid)
-    yield from ((1.0 + eps, True) for eps in np.geomspace(span, 1e-15, 400))
+    yield from ((1.0 + eps, True) for eps in np.geomspace(span, 1e-15, 400).tolist())
     yield from ((ksq, False) for ksq in grid)
 
 

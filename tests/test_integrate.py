@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,8 +52,9 @@ def step(asm, state, dt, rtol, atol, dt_max=math.inf):
     """One accepted step from state through the batched stepper, as a batch of one.
 
     The first attempt tries dt (capped at dt_max).  Returns (new state,
-    dt_used, dt_next, err_est); raises StepUnderflow where a run would end
-    in blow_up with the reason step_underflow.
+    dt_used, dt_next, the last attempt's error estimate); raises
+    StepUnderflow where a run would end in blow_up with the reason
+    step_underflow.
     """
     y = np.stack([state.mu1, state.mu2])[:, None]
     f = asm.rhs_flat(y)
@@ -64,7 +66,7 @@ def step(asm, state, dt, rtol, atol, dt_max=math.inf):
         if control.underflows():
             raise StepUnderflow(f"step size {control.dt} underflowed at t = {control.t}")
         y, f, L, accepted = _round(asm, y, f, L, [control], rtol, atol)
-    return SpectralState(y[0, 0], y[1, 0], control.t), control.dt, control.dt_next, control.err_prev
+    return SpectralState(y[0, 0], y[1, 0], control.t), control.dt, control.dt_next, control.err
 
 
 def test_step_near_fixed_point_is_inert(case1):
@@ -73,10 +75,43 @@ def test_step_near_fixed_point_is_inert(case1):
     asm = RhsAssembler.for_order(case1, 3)
     new, dt_used, dt_next, err = step(asm, state, 10.0, 1e-7, 1e-10, dt_max=0.5)
     assert dt_used == 0.5
-    assert dt_next == 0.5
+    assert dt_next == 10.0
     assert new.t == 0.5
     assert np.abs(new.mu1 - state.mu1).max() < 1e-12
     assert err < 1e-6
+
+
+def test_landing_step_leaves_the_controller_alone():
+    def fac(err, err_prev, cap=5.0):
+        return min(cap, max(0.2, 0.9 * err ** -0.14 * err_prev ** 0.08))
+
+    # A step cut short to land at reach 0.25, accepted at once: the proposal
+    # and the PI history stay as they were.
+    c = _Control(0.0, 0.4)
+    c.err_prev = 0.3
+    c.begin(0.25)
+    assert c.settle(1e-6)
+    assert (c.t, c.dt, c.dt_next, c.err_prev, c.err) == (0.25, 0.25, 0.4, 0.3, 1e-6)
+
+    # A step that is not cut short proposes dt * fac, uncapped by its reach.
+    c = _Control(0.0, 0.4)
+    c.err_prev = 0.3
+    c.begin(0.4)
+    assert c.settle(1e-6)
+    assert c.dt_next == 0.4 * fac(1e-6, 0.3) == 2.0
+    assert c.err_prev == 1e-6
+
+    # A landing step that was rejected first updates both, with fac <= 1.
+    c = _Control(0.0, 0.4)
+    c.err_prev = 0.3
+    c.begin(0.25)
+    assert not c.settle(2.0)
+    shrunk = c.dt
+    assert shrunk == 0.25 * 0.9 * 2.0 ** -0.2
+    assert c.settle(0.5)
+    assert c.dt_next == shrunk * fac(0.5, 0.3, cap=1.0)
+    assert (c.t, c.err_prev, c.steps_rejected, c.n_steps) == (shrunk, 0.5, 1, 1)
+    assert c.dt_min == c.dt_max == shrunk
 
 
 def test_step_at_equilibrium_is_not_stability_limited(case2):
@@ -219,6 +254,19 @@ def test_fifth_order_convergence(case1, rng):
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for slope in slopes:
         assert 4.3 < slope < 5.9, (slopes, errs)
+
+
+def test_case2_gaussian_work_count(case2):
+    # The run of the ROADMAP's work-count table.  A step cut short to land
+    # on a snapshot time leaves the step-size proposal alone; when it capped
+    # the next proposal instead, this run took 296 steps.
+    config = RunConfig(n=8)
+    ic = {"type": "gaussian", "cx": 1.55, "cy": 1.6, "sigma": 0.5, "amp": 0.5, "offset": 0.2}
+    result = run(case2, config, ic, ic)
+    assert result.outcome == "steady_state" and result.reason is None
+    assert result.n_steps <= 200
+    assert result.rhs_evals == 6 * (result.n_steps + result.steps_rejected) + 1
+    assert 0 < result.dt_min <= result.dt_max <= config.snapshot_dt
 
 
 def test_case2_settles_in_few_steps(case2):
@@ -593,11 +641,12 @@ def test_save_run_manifest_and_determinism(case1, tmp_path):
 
     assert set(manifest) == {
         "params", "config", "outcome", "reason", "n_steps", "steps_rejected",
-        "rhs_evals", "final_time", "level", "conditions", "certificate",
+        "rhs_evals", "dt_min", "dt_max", "final_time", "level", "conditions", "certificate",
         "projection", "timeseries", "snapshots",
     }
     assert manifest["reason"] is None
     assert manifest["steps_rejected"] == result.steps_rejected
+    assert (manifest["dt_min"], manifest["dt_max"]) == (result.dt_min, result.dt_max)
     assert manifest["rhs_evals"] == result.rhs_evals > 6 * result.n_steps
     assert manifest["outcome"] == result.outcome
     assert manifest["snapshots"] == [{"t": s.t, "index": i} for i, s in enumerate(result.snapshots)]
@@ -613,6 +662,16 @@ def test_save_run_manifest_and_determinism(case1, tmp_path):
     saved = synthesize(load_snapshots(out1)[0], res)
     direct = synthesize(result.snapshots[0], res)
     assert np.array_equal(saved[0], direct[0]) and np.array_equal(saved[1], direct[1])
+
+
+def test_save_run_refuses_a_non_finite_manifest_before_writing(case1, tmp_path):
+    # An overflowing discriminant is inf or nan, which strict JSON refuses.
+    result = run(case1, RunConfig(n=2, t_max=1.0), {"type": "constant", "value": 0.5},
+                 {"type": "constant", "value": 0.3})
+    result.cert = replace(result.cert, delta_v=math.nan)
+    with pytest.raises(ValueError, match="JSON"):
+        save_run(result, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_saved_snapshots_give_the_manifest_extrema(case1, tmp_path):
@@ -636,6 +695,7 @@ def test_run_summary_shape(case1):
     assert s["outcome"] == result.outcome
     assert s["final_time"] == result.final_state.t
     assert s["n_steps"] == result.n_steps
+    assert (s["dt_min"], s["dt_max"]) == (result.dt_min, result.dt_max)
     assert s["final_diagnostics"] == result.timeseries[-1].to_dict()
 
 

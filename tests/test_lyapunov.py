@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -153,9 +154,13 @@ SEARCH_CORNERS = {
 def test_search_corners_are_pinned(corner):
     overrides, expected = SEARCH_CORNERS[corner]
     p = make(**{"alpha11": 2.0, "b11": 1.5, **overrides})
-    cert = find_certificate(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert = find_certificate(p)
     assert cert == LyapunovCert(*expected, feasible=corner != "fallback")
     assert (cert.delta_u > 0) == (corner == "fallback")
+    # Plain floats on every path: numpy scalars would warn where floats overflow quietly.
+    assert all(type(value) is float for value in astuple(cert)[:-1])
 
 
 def test_window_bounds_match_stored(case1):
