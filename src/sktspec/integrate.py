@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .galerkin import RhsAssembler, project_initial
-from .lyapunov import LyapunovCert, PreconditionError, eval_H, eval_L, find_certificate
+from .lyapunov import LyapunovCert, PreconditionError, eval_H, find_certificate, level_excess
 from .model import ModelParams, check_conditions, params_to_dict
 from .spectral import SpectralState, synthesize
 
@@ -139,29 +139,37 @@ def _block_exp(L: np.ndarray, t) -> np.ndarray:
     s = k11 * k11 + l12 * l21
     real = s >= 0.0
     root = np.sqrt(np.abs(s))
+    # In place, into E's own slots where their values are no longer needed:
+    # temporaries of this size cost more than the arithmetic.
+    E = np.empty((2, 2) + np.broadcast_shapes(np.shape(t), root.shape))
     # e^{t lambda1} for a real pair, e^{tc} for a complex one
-    grow = np.exp(t * (0.5 * (l11 + l22) + root * real))
-    r = t * root
+    grow = np.multiply(t, 0.5 * (l11 + l22) + root * real, out=E[1, 0])
+    np.exp(grow, out=grow)
+    r = np.multiply(t, root, out=E[0, 1])
     # alpha/grow and beta/(t grow) are 1 + expm1(-2r)/2 and -expm1(-2r)/(2r)
     # for a real pair, cos(r) and sin(r)/r for a complex one, and 1 at r = 0.
-    m = np.expm1(-2.0 * r)
-    a = 1.0 + 0.5 * m
-    b = -0.5 * m
+    b = np.multiply(r, -2.0)
+    np.expm1(b, out=b)
+    a = np.multiply(b, 0.5, out=E[1, 1])
+    a += 1.0
+    b *= -0.5
     if not real.all():
         complex_pair = np.broadcast_to(~real, r.shape)
         np.cos(r, out=a, where=complex_pair)
         np.sin(r, out=b, where=complex_pair)
-    alpha = grow * a
-    beta = np.divide(b, r, out=np.ones_like(r), where=r > 0.0)
+    alpha = a
+    alpha *= grow
+    beta = b
+    positive = r > 0.0
+    np.divide(beta, r, out=beta, where=positive)
+    np.copyto(beta, 1.0, where=np.logical_not(positive, out=positive))
     beta *= grow
     beta *= t
-    # In place: temporaries of this size cost more than the arithmetic.
-    E = np.empty((2, 2) + alpha.shape)
-    np.multiply(beta, k11, out=E[0, 0])
-    np.subtract(alpha, E[0, 0], out=E[1, 1])
-    E[0, 0] += alpha
     np.multiply(beta, l12, out=E[0, 1])
     np.multiply(beta, l21, out=E[1, 0])
+    beta *= k11
+    np.add(beta, alpha, out=E[0, 0])
+    np.subtract(alpha, beta, out=E[1, 1])
     return E
 
 
@@ -386,8 +394,9 @@ def diagnostics(state: SpectralState, dy: np.ndarray,
     d1, d2 = np.split(dy, 2)
     rhs_norm = math.sqrt(float(np.sum(d1 * d1) + np.sum(d2 * d2)))
     if cert is not None:
-        max_H = float(np.max(eval_H(cert, u, v).H))
-        L_value = eval_L(cert, u, v, level, (np.pi / res) ** 2)
+        H = eval_H(cert, u, v).H
+        max_H = float(np.max(H))
+        L_value = level_excess(H, level, (np.pi / res) ** 2)
     else:
         max_H = 0.0
         L_value = 0.0
@@ -401,9 +410,12 @@ def diagnostics(state: SpectralState, dy: np.ndarray,
     )
 
 
-def _sup_bound(y: np.ndarray) -> float:
-    # sup|field| <= (2/pi) * sum|mu| since every |phi_jk| <= 2/pi.
-    return (2.0 / np.pi) * max(float(np.sum(np.abs(y[0]))), float(np.sum(np.abs(y[1]))))
+def _sup_bounds(y: np.ndarray) -> list:
+    """Each member's bound on sup|field| over both species, y of shape (2, B, w, w).
+
+    sup|field| <= (2/pi) * sum|mu| since every |phi_jk| <= 2/pi.
+    """
+    return ((2.0 / np.pi) * np.abs(y).sum(axis=(2, 3)).max(axis=0)).tolist()
 
 
 class _Member(_Control):
@@ -435,10 +447,14 @@ class _Member(_Control):
                                 self.n_steps, self.steps_rejected, self.rhs_evals, reason,
                                 *((self.dt_min, self.dt_max) if self.n_steps else (None, None)))
 
-    def stepped(self, batch: "Batch", y: np.ndarray, f: np.ndarray) -> None:
-        """After an accepted step: the blow-up test, then advance."""
+    def stepped(self, batch: "Batch", y: np.ndarray, f: np.ndarray, sup_bound: float) -> None:
+        """After an accepted step: the blow-up test, then advance.
+
+        sup_bound bounds sup|field| of y from its coefficients (_sup_bounds);
+        only above the threshold are the fields synthesized.
+        """
         config = batch.config
-        if _sup_bound(y) > config.blowup_threshold:
+        if sup_bound > config.blowup_threshold:
             u, v = synthesize(SpectralState(y[0].copy(), y[1].copy(), self.t), 4 * (config.n + 1))
             if max(float(np.abs(u).max()), float(np.abs(v).max())) > config.blowup_threshold:
                 return self.finish(batch, OUTCOME_BLOWUP, y, self.t, REASON_SUP)
@@ -537,10 +553,11 @@ class Batch:
         while live:
             y, f, L, accepted = _round(self.assembler, y, f, L, live,
                                        self.config.rtol, self.config.atol)
+            bounds = _sup_bounds(y) if any(accepted) else None
             for b, (m, ok) in enumerate(zip(live, accepted)):
                 m.rhs_evals += 6
                 if ok:
-                    m.stepped(self, y[:, b], f[:, b])
+                    m.stepped(self, y[:, b], f[:, b], bounds[b])
                 elif m.underflows():
                     m.finish(self, OUTCOME_BLOWUP, y[:, b], m.t, REASON_UNDERFLOW)
             if any(m.result is not None for m in live):

@@ -37,6 +37,7 @@ __all__ = [
     "phi_coefficients",
     "check_reaction_sign",
     "eval_L",
+    "level_excess",
 ]
 
 
@@ -322,6 +323,10 @@ def eval_L(cert: LyapunovCert, field_u: np.ndarray, field_v: np.ndarray,
         raise ValueError(f"field shapes differ: {field_u.shape} vs {field_v.shape}")
     if not cell_area > 0:
         raise ValueError(f"cell_area must be > 0, got {cell_area}")
-    H = eval_H(cert, field_u, field_v).H
+    return level_excess(eval_H(cert, field_u, field_v).H, level, cell_area)
+
+
+def level_excess(H: np.ndarray, level: float, cell_area: float) -> float:
+    """Midpoint-rule value of (1/2) * integral of [(H - level)_+]^2 from gridded H."""
     excess = np.maximum(H - level, 0.0)
     return float(0.5 * np.sum(excess * excess) * cell_area)

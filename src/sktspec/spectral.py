@@ -19,6 +19,7 @@ quadrature, the independent reference that tests check the solver against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,11 +104,19 @@ class SpectralState:
         return cls(np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1)), t)
 
 
+@lru_cache(maxsize=64)
+def _midpoint_table(n: int, resolution: int) -> np.ndarray:
+    """Basis(n).cos_table(midpoint_nodes(resolution)), built once and read-only."""
+    table = Basis(n).cos_table(midpoint_nodes(resolution))
+    table.flags.writeable = False
+    return table
+
+
 def synthesize(state: SpectralState, resolution: int):
     """Both species' fields on the midpoint grid; each indexed [ix, iy]."""
     if resolution < state.n + 1:
         raise ValueError(f"synthesis grid {resolution} too coarse for order {state.n}")
-    table = Basis(state.n).cos_table(midpoint_nodes(resolution))
+    table = _midpoint_table(state.n, resolution)
     return table.T @ state.mu1 @ table, table.T @ state.mu2 @ table
 
 
@@ -126,6 +135,6 @@ def analyze(field: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(
             f"analysis resolution too low: {resolution} < 2*(n+1) = {2 * (n + 1)}"
         )
-    table = Basis(n).cos_table(midpoint_nodes(resolution))
+    table = _midpoint_table(n, resolution)
     cell = (DOMAIN_LENGTH / resolution) ** 2
     return cell * (table @ field @ table.T)

@@ -15,12 +15,13 @@ from sktspec.integrate import (
     _block_exp,
     _Control,
     _round,
+    _sup_bounds,
     diagnostics,
     load_snapshots,
     run,
     save_run,
 )
-from sktspec.lyapunov import LyapunovCert, eval_H
+from sktspec.lyapunov import LyapunovCert, eval_H, eval_L, find_certificate
 from sktspec.model import coexistence_steady_state, params_from_dict, preset
 from sktspec.reference import fd_reference
 from sktspec.spectral import SpectralState, synthesize
@@ -556,6 +557,38 @@ def test_diagnostics_reference_values(case1):
         "t", "mass_u", "mass_v", "min_u", "max_u", "min_v", "max_v",
         "max_H", "L_value", "rhs_norm",
     }
+
+
+@pytest.mark.parametrize("name", ["case1", "case2"])
+def test_diagnostics_L_value_is_eval_L(name, rng):
+    # diagnostics evaluates H once for max_H and L; eval_L gives the same bits.
+    p = preset(name)
+    cert = find_certificate(p)
+    n = 6
+    res = 4 * (n + 1)
+    asm = RhsAssembler.for_order(p, n)
+    for _ in range(5):
+        state = constant_state(n, *coexistence_steady_state(p))
+        state.mu1 += 0.3 * rng.normal(size=state.mu1.shape)
+        state.mu2 += 0.3 * rng.normal(size=state.mu2.shape)
+        u, v = synthesize(state, res)
+        level = float(np.median(eval_H(cert, u, v).H))
+        rec = diagnostics(state, asm.rhs_flat(pack(state)), cert, level)
+        assert rec.L_value > 0.0
+        assert rec.L_value == eval_L(cert, u, v, level, (np.pi / res) ** 2)
+        assert rec.max_H == float(np.max(eval_H(cert, u, v).H))
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("members", [1, 3, 9])
+def test_round_sup_bounds_equal_member_bounds(n, members):
+    # One reduction per round gives each member's bound, bit for bit.
+    rng = np.random.default_rng([n, members, 7])
+    y = rng.normal(size=(2, members, n + 1, n + 1)) * 10.0 ** rng.uniform(-8, 8, (2, members, 1, 1))
+    bounds = _sup_bounds(y)
+    for b in range(members):
+        alone = (2.0 / np.pi) * max(float(np.sum(np.abs(y[0, b]))), float(np.sum(np.abs(y[1, b]))))
+        assert bounds[b] == alone
 
 
 def test_fd_reference_heat_equation():

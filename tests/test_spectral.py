@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sktspec.reference import build_tensors, quadrature_tables
 from sktspec.spectral import (
     Basis,
+    _midpoint_table,
     SpectralState,
     analyze,
     laplacian_eigenvalues,
@@ -61,6 +62,20 @@ def test_synthesize_constant_mode():
     u, v = synthesize(SpectralState(mu, 2.0 * mu), 10)
     assert np.abs(u - 1.0).max() < 1e-14
     assert np.abs(v - 2.0).max() < 1e-14
+
+
+@pytest.mark.parametrize("n, res", [(0, 4), (4, 20), (8, 36), (16, 68)])
+def test_synthesize_cached_table_matches_a_fresh_one(rng, n, res):
+    state = SpectralState(rng.normal(size=(n + 1, n + 1)), rng.normal(size=(n + 1, n + 1)))
+    fresh = Basis(n).cos_table(midpoint_nodes(res))
+    for _ in range(2):  # the first call builds the table, the second reuses it
+        u, v = synthesize(state, res)
+        assert np.array_equal(u, fresh.T @ state.mu1 @ fresh)
+        assert np.array_equal(v, fresh.T @ state.mu2 @ fresh)
+    table = _midpoint_table(n, res)
+    assert table is _midpoint_table(n, res) and np.array_equal(table, fresh)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
 
 
 def test_synthesis_resolution_guard():
