@@ -163,6 +163,7 @@ def cmd_certify(args) -> int:
                "reason": f"no admissible coupling in (1, {args.kmax}]: "
                          "window product never exceeds K^2"})
         return 2
+    cert.check_finite()
     sign = check_reaction_sign(p, cert, _DEFAULT_SIGN_LEVEL, seed=args.seed)
     payload = cert.to_dict()
     payload.update({

@@ -503,7 +503,8 @@ class Batch:
     to its outcome and returns the RunResults in the order of add.  Each
     round makes one Lawson DP5 attempt for every running member, and a
     member leaves the batch as it finishes.  A run's result is bit for bit
-    the one it gets in a batch of one.
+    the one it gets in a batch of one.  A certificate with a value that is
+    not finite raises ValueError before any run is set up.
     """
 
     def __init__(self, params: ModelParams, config: RunConfig):
@@ -514,6 +515,8 @@ class Batch:
             self.cert = find_certificate(params)
         except PreconditionError:
             self.cert = None
+        if self.cert is not None:
+            self.cert.check_finite()
         self.assembler = RhsAssembler.for_order(params, config.n)
         # Snapshot targets start at the initial state.
         dt = config.snapshot_dt

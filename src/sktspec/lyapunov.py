@@ -76,6 +76,18 @@ class LyapunovCert:
             "feasible": self.feasible,
         }
 
+    def check_finite(self) -> "LyapunovCert":
+        """self, or ValueError naming the first value of to_dict that is not finite.
+
+        Weights near the top of the double range overflow the discriminants;
+        such a certificate certifies nothing and has no JSON form.
+        """
+        for key, value in self.to_dict().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"certificate field {key} is not finite ({value}): "
+                                 "the parameters overflow it")
+        return self
+
 
 class HDerivatives(NamedTuple):
     H: object

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,29 @@ def test_run_blow_up_exit_three(capsys, tmp_path):
     assert json.loads(out)["reason"] == "sup_threshold"
     manifest = json.loads((tmp_path / "boom" / "manifest.json").read_text())
     assert manifest["reason"] == "sup_threshold"
+
+
+# Cross-diffusion weights near the top of the double range: the certificate
+# search returns a certificate whose delta_v overflows to nan.
+OVERFLOWING_CERTIFICATE = dict(
+    alpha11=0.7710126704252611, alpha12=1.455789144048386e+177,
+    alpha21=0.2878604785018568, alpha22=9.308571825720153e+179,
+    b11=1.6092561998361057, b22=2.7903718447422057e+179)
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "sweep"])
+def test_overflowing_certificate_fails_before_any_step(capsys, tmp_path, command, monkeypatch):
+    path = write_params(tmp_path, "overflow.json", **OVERFLOWING_CERTIFICATE)
+    stepped = []
+    monkeypatch.setattr(cli.Batch, "integrate", lambda self: stepped.append(self) or [])
+    argv = [command, path] + ([] if command == "certify" else ["--out", str(tmp_path / "out")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: certificate field delta_v is not finite (nan): the parameters overflow it\n"
+    assert not stepped
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_reruns_are_byte_identical(capsys, tmp_path):
