@@ -7,10 +7,14 @@ N = F - L y.  Each step is the integrating-factor ("Lawson") form of the
 embedded Dormand-Prince 5(4) pair: every stage carries the exact block
 exponentials exp(theta h L), so the stiff diffusion of high modes sets no
 stability limit and the step is chosen by accuracy alone.  It keeps six rhs
-calls per attempt with FSAL stage reuse, PI step-size control, and a
-weighted max-norm error test
+calls per attempt with FSAL stage reuse and a weighted max-norm error test
 err = max |e_i| / (atol + rtol*max(|y_i|, |y_new_i|)) <= 1.  A homogeneous
-state stays homogeneous exactly.
+state stays homogeneous exactly.  The step size follows the PI controller of
+DOPRI5 (Hairer, Norsett & Wanner, Solving ODEs I, II.4), with the exponents
+0.17 on err and 0.04 on the previous err.  Gustafsson's gains 0.7/5 and
+0.4/5 damp the step-to-step oscillation of an explicit step held at its
+stability limit; this stepper has none, and under them the error settled
+near 0.17 of the tolerance while the step grew about 5% a step.
 
 A Batch integrates runs that share parameters and a RunConfig in lockstep.
 Each round makes one attempt for every running member, each with its own
@@ -117,9 +121,10 @@ _UNDERFLOW_FLOOR = 1e-14
 _FAC_SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
-# PI exponents for a 5th-order error estimate.
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+# PI exponents of DOPRI5 (Hairer, Norsett & Wanner, Solving ODEs I, II.4):
+# fac = err^-(0.2 - 0.75 BETA) * err_prev^BETA with BETA = 0.04.
+_PI_ALPHA = 0.17
+_PI_BETA = 0.04
 
 
 def _block_exp(L: np.ndarray, t) -> np.ndarray:

@@ -84,7 +84,7 @@ def test_step_near_fixed_point_is_inert(case1):
 
 def test_landing_step_leaves_the_controller_alone():
     def fac(err, err_prev, cap=5.0):
-        return min(cap, max(0.2, 0.9 * err ** -0.14 * err_prev ** 0.08))
+        return min(cap, max(0.2, 0.9 * err ** -0.17 * err_prev ** 0.04))
 
     # A step cut short to land at reach 0.25, accepted at once: the proposal
     # and the PI history stay as they were.
@@ -113,6 +113,19 @@ def test_landing_step_leaves_the_controller_alone():
     assert c.dt_next == shrunk * fac(0.5, 0.3, cap=1.0)
     assert (c.t, c.err_prev, c.steps_rejected, c.n_steps) == (shrunk, 0.5, 1, 1)
     assert c.dt_min == c.dt_max == shrunk
+
+
+@pytest.mark.parametrize("err, err_prev", [(1e-6, 0.3), (0.02, 0.05), (0.5, 0.3), (1.0, 1e-3), (0.9, None)])
+def test_accepted_step_proposes_the_dopri5_factor(err, err_prev):
+    # DOPRI5's PI gains: err^-(0.2 - 0.75 * 0.04) * err_prev^0.04, safety 0.9,
+    # the factor clamped to [0.2, 5]; the first step has no err_prev.
+    c = _Control(1.0, 0.3)
+    c.err_prev = err_prev
+    c.begin(1.0)
+    assert c.settle(err)
+    fac = 0.9 * err ** -0.17 * (1.0 if err_prev is None else err_prev ** 0.04)
+    assert c.dt_next == 0.3 * min(5.0, max(0.2, fac))
+    assert (c.t, c.err_prev, c.n_steps) == (1.3, err, 1)
 
 
 def test_step_at_equilibrium_is_not_stability_limited(case2):
@@ -260,14 +273,31 @@ def test_fifth_order_convergence(case1, rng):
 def test_case2_gaussian_work_count(case2):
     # The run of the ROADMAP's work-count table.  A step cut short to land
     # on a snapshot time leaves the step-size proposal alone; when it capped
-    # the next proposal instead, this run took 296 steps.
+    # the next proposal instead, this run took 296 steps, and 175 under
+    # Gustafsson's PI gains 0.14 and 0.08 instead of DOPRI5's.
     config = RunConfig(n=8)
     ic = {"type": "gaussian", "cx": 1.55, "cy": 1.6, "sigma": 0.5, "amp": 0.5, "offset": 0.2}
     result = run(case2, config, ic, ic)
     assert result.outcome == "steady_state" and result.reason is None
-    assert result.n_steps <= 200
+    assert result.n_steps <= 160
     assert result.rhs_evals == 6 * (result.n_steps + result.steps_rejected) + 1
     assert 0 < result.dt_min <= result.dt_max <= config.snapshot_dt
+
+
+def test_case1_sweep_work_count(case1):
+    # The nine cells of sweep case1 at n = 8, as the sweep batches them.
+    # Under Gustafsson's PI gains they took 985 accepted steps.
+    labels = sorted(SWEEP_SHAPES)
+    batch = Batch(case1, RunConfig(n=8))
+    for lu in labels:
+        for lv in labels:
+            batch.add(SWEEP_SHAPES[lu], SWEEP_SHAPES[lv])
+    results = batch.integrate()
+    assert [r.outcome for r in results] == ["steady_state"] * 9
+    assert sum(r.n_steps for r in results) <= 800
+    assert sum(r.steps_rejected for r in results) <= 6
+    for r in results:
+        assert r.rhs_evals == 6 * (r.n_steps + r.steps_rejected) + 1
 
 
 def test_case2_settles_in_few_steps(case2):
