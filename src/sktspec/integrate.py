@@ -153,18 +153,16 @@ def _block_exp(L: np.ndarray, t) -> np.ndarray:
     r = np.multiply(t, root, out=E[0, 1])
     # alpha/grow and beta/(t grow) are 1 + expm1(-2r)/2 and -expm1(-2r)/(2r)
     # for a real pair, cos(r) and sin(r)/r for a complex one, and 1 at r = 0.
-    b = np.multiply(r, -2.0)
-    np.expm1(b, out=b)
-    a = np.multiply(b, 0.5, out=E[1, 1])
-    a += 1.0
-    b *= -0.5
+    beta = np.multiply(r, -2.0)
+    np.expm1(beta, out=beta)
+    alpha = np.multiply(beta, 0.5, out=E[1, 1])
+    alpha += 1.0
+    beta *= -0.5
     if not real.all():
         complex_pair = np.broadcast_to(~real, r.shape)
-        np.cos(r, out=a, where=complex_pair)
-        np.sin(r, out=b, where=complex_pair)
-    alpha = a
+        np.cos(r, out=alpha, where=complex_pair)
+        np.sin(r, out=beta, where=complex_pair)
     alpha *= grow
-    beta = b
     positive = r > 0.0
     np.divide(beta, r, out=beta, where=positive)
     np.copyto(beta, 1.0, where=np.logical_not(positive, out=positive))
@@ -561,7 +559,7 @@ class Batch:
         while live:
             y, f, L, accepted = _round(self.assembler, y, f, L, live,
                                        self.config.rtol, self.config.atol)
-            bounds = _sup_bounds(y) if any(accepted) else None
+            bounds = _sup_bounds(y)
             for b, (m, ok) in enumerate(zip(live, accepted)):
                 m.rhs_evals += 6
                 if ok:

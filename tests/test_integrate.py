@@ -195,6 +195,34 @@ def test_block_exp_matches_taylor_reference(t):
             assert np.abs(E[:, :, i] - ref).max() <= 1e-13 * np.abs(ref).max(), (family, i)
 
 
+def block_exp_out_of_place(L, t):
+    """_block_exp's arithmetic with a fresh array for every intermediate."""
+    (l11, l12), (l21, l22) = L
+    k11 = 0.5 * (l11 - l22)
+    s = k11 * k11 + l12 * l21
+    real = s >= 0.0
+    root = np.sqrt(np.abs(s))
+    grow = np.exp(t * (0.5 * (l11 + l22) + root * real))
+    r = t * root
+    m = np.expm1(-2.0 * r)
+    a = np.where(real, 1.0 + 0.5 * m, np.cos(r))
+    b = np.where(real, -0.5 * m, np.sin(r))
+    alpha = grow * a
+    beta = np.where(r > 0.0, b / np.where(r > 0.0, r, 1.0), 1.0) * grow * t
+    return np.array([[alpha + beta * k11, beta * l12], [beta * l21, alpha - beta * k11]])
+
+
+def test_block_exp_in_place_keeps_the_bits():
+    # Every family at once, with the (theta, member) factors of a round.
+    families = np.concatenate(list(block_families(np.random.default_rng(6), size=24).values()), axis=-1)
+    L = families.reshape(2, 2, 3, 6, 8)  # members on axis 2, as in a round
+    t = np.multiply.outer(np.linspace(0.0, 1.0, 14), [0.01, 0.3, 2.0])[:, :, None, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want = block_exp_out_of_place(L, t)
+    assert np.array_equal(_block_exp(L, t), want)
+    assert np.array_equal(_block_exp(L[..., 0, 0], 0.7), block_exp_out_of_place(L[..., 0, 0], 0.7))
+
+
 def test_block_exp_is_finite_and_quiet_for_stiff_blocks():
     # h |lambda| about 1e4: eigenvalues -1e4 and -0.5, -1e4 +- 30i, and -1e4
     # twice (a Jordan block), each conjugated by a fixed well-conditioned V.
