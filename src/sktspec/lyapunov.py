@@ -76,8 +76,8 @@ class LyapunovCert:
             "feasible": self.feasible,
         }
 
-    def check_finite(self) -> "LyapunovCert":
-        """self, or ValueError naming the first value of to_dict that is not finite.
+    def check_finite(self) -> None:
+        """Raise ValueError naming the first value of to_dict that is not finite.
 
         Weights near the top of the double range overflow the discriminants;
         such a certificate certifies nothing and has no JSON form.
@@ -86,7 +86,6 @@ class LyapunovCert:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"certificate field {key} is not finite ({value}): "
                                  "the parameters overflow it")
-        return self
 
 
 class HDerivatives(NamedTuple):
