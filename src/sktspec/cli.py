@@ -241,11 +241,12 @@ def cmd_sweep(args) -> int:
     for fail in failures:
         print(f"{fail['u_ic']:>4} {fail['v_ic']:>4} {'failed':>22} {fail['error']}")
 
+    # Serialized first, so that a value strict JSON refuses leaves no partial file.
+    text = json.dumps({"params": params_to_dict(p), "config": config.to_dict(), "runs": summary,
+                       "failures": failures}, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep_manifest.json"), "w") as fh:
-        json.dump({"params": params_to_dict(p), "config": config.to_dict(), "runs": summary,
-                   "failures": failures}, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
     if failures:
         return 1

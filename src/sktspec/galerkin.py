@@ -16,7 +16,7 @@ reference.build_tensors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -293,7 +293,7 @@ class ProjectionReport:
     resolution: int
 
     def to_dict(self) -> dict:
-        return {"min_u": self.min_u, "min_v": self.min_v, "resolution": self.resolution}
+        return asdict(self)
 
 
 def _project_one(ic, n: int, resolution: int, label: str) -> np.ndarray:

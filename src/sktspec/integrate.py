@@ -11,10 +11,8 @@ calls per attempt with FSAL stage reuse and a weighted max-norm error test
 err = max |e_i| / (atol + rtol*max(|y_i|, |y_new_i|)) <= 1.  A homogeneous
 state stays homogeneous exactly.  The step size follows the PI controller of
 DOPRI5 (Hairer, Norsett & Wanner, Solving ODEs I, II.4), with the exponents
-0.17 on err and 0.04 on the previous err.  Gustafsson's gains 0.7/5 and
-0.4/5 damp the step-to-step oscillation of an explicit step held at its
-stability limit; this stepper has none, and under them the error settled
-near 0.17 of the tolerance while the step grew about 5% a step.
+0.17 on err and 0.04 on the previous err: this stepper has no stability limit
+for Gustafsson's damping gains to hold it at.
 
 A Batch integrates runs that share parameters and a RunConfig in lockstep.
 Each round makes one attempt for every running member, each with its own
@@ -24,20 +22,25 @@ evaluation, one set of stage rows and six rhs calls on a species-leading
 finishes.  Every operation acts member by member, so a run's output does not
 depend on the batch it ran in; run is a batch of one.
 
-Runs record diagnostics on a fixed snapshot cadence, classify the outcome as
-steady_state, t_max_reached, blow_up (with the reason step_underflow or
-sup_threshold), or step_budget_exhausted, and count accepted steps, rejected
-attempts and rhs evaluations per run, beside the range dt_min..dt_max of the
-accepted steps.  A run evaluates the rhs once at the initial state and then
-only inside step attempts: every snapshot time is a step end, so the
-diagnostics there read the derivative the stepper already holds, and
-rhs_evals = 6 * (accepted + rejected) + 1 for every member, whatever the
-batch.  A step cut short to land on a snapshot time, and accepted at its
-first attempt, leaves the controller's proposal and error history as they
-were, so the snapshot cadence does not throttle the step size.  save_run
-writes a run directory: manifest.json and snapshots.npy, every snapshot's
-exact coefficients, which load_snapshots reads back as states.  The
-flux-form finite-volume solver that cross-checks these runs is
+A run ends in one of four ways.  At set-up and after every accepted step,
+_Member.advance makes the blow-up test (blow_up, reason sup_threshold),
+records the snapshots reached on the fixed cadence and ends the run at
+steady_state, t_max_reached or step_budget_exhausted, or begins the next
+step.  The t = 0 record gives the level of the L functional, the max of H
+over the initial fields.  After every round, a member whose next attempt
+falls below the resolvable scale ends in blow_up (reason step_underflow).
+Each run counts accepted steps, rejected attempts and rhs evaluations,
+beside the range dt_min..dt_max of its accepted steps.  It evaluates the
+rhs once at the initial state and then only inside step attempts: every
+snapshot time is a step end, so the diagnostics there read the derivative
+the stepper already holds, and rhs_evals = 6 * (accepted + rejected) + 1
+for every member, whatever the batch.  A step cut short to land on a
+snapshot time, and accepted at its first attempt, leaves the controller's
+proposal and error history as they were, so the snapshot cadence does not
+throttle the step size.  save_run writes a run directory: manifest.json,
+with RunResult.summary() less its final diagnostics, and snapshots.npy,
+every snapshot's exact coefficients, which load_snapshots reads back as
+states.  The flux-form finite-volume solver that cross-checks these runs is
 reference.fd_reference.
 """
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction as Fr
 from typing import Optional
 
@@ -291,6 +294,11 @@ def _round(assembler: RhsAssembler, y: np.ndarray, f: np.ndarray, L: np.ndarray,
     return np.where(mask, y_new, y), np.where(mask, f_new, f), np.where(mask, L_new, L), accepted
 
 
+def _reach_tol(t: float) -> float:
+    """A state within this of the snapshot time t counts as having reached it."""
+    return 1e-12 * max(1.0, t)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     n: int = 8
@@ -303,26 +311,25 @@ class RunConfig:
     max_steps: int = 200_000
 
     def validate(self) -> "RunConfig":
+        for name, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n < 0:
             raise ValueError(f"truncation order must be >= 0, got {self.n}")
-        for name in ("rtol", "atol", "steady_tol", "blowup_threshold"):
+        for name in ("t_max", "rtol", "atol", "steady_tol", "blowup_threshold"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
-        if not 0 < self.snapshot_dt <= self.t_max:
+        # Below the reach tolerance, snapshot times would count as reached without a step.
+        if not _reach_tol(self.t_max) <= self.snapshot_dt <= self.t_max:
             raise ValueError(
-                f"snapshot_dt must lie in (0, t_max], got {self.snapshot_dt} with t_max={self.t_max}")
+                f"snapshot_dt must lie in [{_reach_tol(self.t_max)}, t_max], "
+                f"got {self.snapshot_dt} with t_max={self.t_max}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "t_max": self.t_max, "rtol": self.rtol, "atol": self.atol,
-            "snapshot_dt": self.snapshot_dt, "steady_tol": self.steady_tol,
-            "blowup_threshold": self.blowup_threshold, "max_steps": self.max_steps,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -339,12 +346,8 @@ class DiagnosticRecord:
     rhs_norm: float
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t, "mass_u": self.mass_u, "mass_v": self.mass_v,
-            "min_u": self.min_u, "max_u": self.max_u,
-            "min_v": self.min_v, "max_v": self.max_v,
-            "max_H": self.max_H, "L_value": self.L_value, "rhs_norm": self.rhs_norm,
-        }
+        # save_run calls this once per record; asdict's deep copy is ten times slower.
+        return dict(vars(self))
 
 
 @dataclass
@@ -368,7 +371,6 @@ class RunResult:
     dt_max: Optional[float] = None
 
     def summary(self) -> dict:
-        last = self.timeseries[-1]
         return {
             "outcome": self.outcome,
             "reason": self.reason,
@@ -378,7 +380,7 @@ class RunResult:
             "rhs_evals": self.rhs_evals,
             "dt_min": self.dt_min,
             "dt_max": self.dt_max,
-            "final_diagnostics": last.to_dict(),
+            "final_diagnostics": self.timeseries[-1].to_dict(),
         }
 
 
@@ -401,8 +403,7 @@ def diagnostics(state: SpectralState, dy: np.ndarray,
         max_H = float(np.max(H))
         L_value = level_excess(H, level, (np.pi / res) ** 2)
     else:
-        max_H = 0.0
-        L_value = 0.0
+        max_H = L_value = 0.0
     return DiagnosticRecord(
         t=state.t,
         mass_u=float(state.mu1[0, 0] * np.pi),
@@ -429,62 +430,53 @@ class _Member(_Control):
     and the member's state y and derivative f, each of shape (2, n+1, n+1).
     """
 
-    def __init__(self, config: "RunConfig", projection, level: float):
+    def __init__(self, config: "RunConfig", projection):
         super().__init__(0.0, min(0.01, config.snapshot_dt))
         self.projection = projection
-        self.level = level
+        # Set by the t = 0 record, whose L at level +inf is 0, as at max H.
+        self.level = math.inf
         self.rhs_evals = 1
         self.target = 0
         self.streak = 0
         self.timeseries: list = []
         self.snapshots: list = []
         self.result: Optional[RunResult] = None
-        # (y, F(y), L) at the start, each with a member axis of length 1
-        self.start = None
 
     def finish(self, batch: "Batch", outcome: str, y: np.ndarray, t: float,
                reason: Optional[str] = None) -> None:
-        self.result = RunResult(outcome, SpectralState(y[0].copy(), y[1].copy(), t),
-                                self.timeseries, self.snapshots, batch.conditions, batch.cert,
-                                self.level, self.projection, batch.config, batch.params,
-                                self.n_steps, self.steps_rejected, self.rhs_evals, reason,
-                                *((self.dt_min, self.dt_max) if self.n_steps else (None, None)))
+        self.result = RunResult(
+            outcome=outcome, reason=reason, final_state=SpectralState(y[0].copy(), y[1].copy(), t),
+            timeseries=self.timeseries, snapshots=self.snapshots, conditions=batch.conditions,
+            cert=batch.cert, level=self.level, projection=self.projection, config=batch.config,
+            params=batch.params, n_steps=self.n_steps, steps_rejected=self.steps_rejected,
+            rhs_evals=self.rhs_evals, dt_min=self.dt_min if self.n_steps else None,
+            dt_max=self.dt_max if self.n_steps else None)
 
-    def stepped(self, batch: "Batch", y: np.ndarray, f: np.ndarray, sup_bound: float) -> None:
-        """After an accepted step: the blow-up test, then advance.
+    def advance(self, batch: "Batch", y: np.ndarray, f: np.ndarray, sup_bound: float = 0.0) -> None:
+        """At set-up or after an accepted step: the blow-up test, the snapshots
+        reached, then the next step or an outcome.
 
         sup_bound bounds sup|field| of y from its coefficients (_sup_bounds);
-        only above the threshold are the fields synthesized.
+        only above the threshold are the fields synthesized, and set-up
+        passes none.  Steady state requires the rhs norm to sit below
+        steady_tol*(1 + state norm) at two consecutive snapshots.  Whether the
+        step begun here underflows, Batch.integrate tests after the round.
         """
         config = batch.config
         if sup_bound > config.blowup_threshold:
             u, v = synthesize(SpectralState(y[0].copy(), y[1].copy(), self.t), 4 * (config.n + 1))
             if max(float(np.abs(u).max()), float(np.abs(v).max())) > config.blowup_threshold:
                 return self.finish(batch, OUTCOME_BLOWUP, y, self.t, REASON_SUP)
-        self.advance(batch, y, f)
-
-    def advance(self, batch: "Batch", y: np.ndarray, f: np.ndarray) -> None:
-        """Record the snapshots reached, then start the next step or finish.
-
-        Steady state requires the rhs norm to sit below
-        steady_tol*(1 + state norm) at two consecutive snapshots.  A step
-        whose first attempt falls below the resolvable scale ends the run in
-        blow_up (step_underflow), as does a rejection that shrinks an attempt
-        below it.
-        """
-        config = batch.config
-        targets = batch.targets
         while True:
-            t_target = targets[self.target]
-            if self.t < t_target - 1e-12 * max(1.0, t_target):
+            t_target = batch._target_time(self.target)
+            if self.t < t_target - _reach_tol(t_target):
                 if self.n_steps >= config.max_steps:
                     return self.finish(batch, OUTCOME_BUDGET, y, self.t)
-                self.begin(t_target - self.t)
-                if self.underflows():
-                    self.finish(batch, OUTCOME_BLOWUP, y, self.t, REASON_UNDERFLOW)
-                return
+                return self.begin(t_target - self.t)
             state = SpectralState(y[0].copy(), y[1].copy(), t_target)
             record = diagnostics(state, f, batch.cert, self.level)
+            if self.target == 0:
+                self.level = record.max_H
             self.timeseries.append(record)
             self.snapshots.append(state)
             if record.rhs_norm < config.steady_tol * (1.0 + _state_norm(state)):
@@ -494,7 +486,7 @@ class _Member(_Control):
             else:
                 self.streak = 0
             self.target += 1
-            if self.target == len(targets):
+            if self.target == batch._n_targets:
                 return self.finish(batch, OUTCOME_TMAX, y, t_target)
 
 
@@ -521,12 +513,18 @@ class Batch:
         if self.cert is not None:
             self.cert.check_finite()
         self.assembler = RhsAssembler.for_order(params, config.n)
-        # Snapshot targets start at the initial state.
-        dt = config.snapshot_dt
-        self.targets = [i * dt for i in range(int(config.t_max / dt + 1e-9) + 1)]
-        if self.targets[-1] < config.t_max - 1e-12 * config.t_max:
-            self.targets.append(config.t_max)
+        # Snapshot targets, each computed when a member reaches it: i * snapshot_dt
+        # from t = 0 on, then t_max unless the last is within 1e-12 t_max of it.
+        self._n_grid = int(config.t_max / config.snapshot_dt + 1e-9) + 1
+        last = self._target_time(self._n_grid - 1)
+        self._n_targets = self._n_grid + (last < config.t_max - 1e-12 * config.t_max)
         self.members: list = []
+        # Each member's (y, F(y), L) at the start, with a member axis of length 1.
+        self._starts: list = []
+
+    def _target_time(self, i: int) -> float:
+        """Snapshot target i of _n_targets."""
+        return i * self.config.snapshot_dt if i < self._n_grid else self.config.t_max
 
     def add(self, ic_u, ic_v) -> None:
         """Set up one run: project the initial pair, evaluate its first rhs
@@ -535,26 +533,21 @@ class Batch:
         The level for the L functional is the max of H over the initial
         fields.  Bad initial data raises and leaves the batch as it was.
         """
-        n = self.config.n
-        state, projection = project_initial(ic_u, ic_v, n)
-        if self.cert is not None:
-            u0, v0 = synthesize(state, 4 * (n + 1))
-            level = float(np.max(eval_H(self.cert, u0, v0).H))
-        else:
-            level = 0.0
+        state, projection = project_initial(ic_u, ic_v, self.config.n)
         y = np.stack([state.mu1, state.mu2])[:, None]
         # F(y), kept current by every step (FSAL); the diagnostics read it too.
         f = self.assembler.rhs_flat(y)
-        member = _Member(self.config, projection, level)
+        member = _Member(self.config, projection)
         member.advance(self, y[:, 0], f[:, 0])
-        member.start = (y, f, self.assembler.last_blocks)
         self.members.append(member)
+        self._starts.append((y, f, self.assembler.last_blocks))
 
     def integrate(self) -> list:
         """Step every member to its outcome; returns the results in the order of add."""
-        live = [m for m in self.members if m.result is None]
+        pending = [(m, start) for m, start in zip(self.members, self._starts) if m.result is None]
+        live = [m for m, _ in pending]
         if live:
-            ys, fs, Ls = zip(*(m.start for m in live))
+            ys, fs, Ls = zip(*(start for _, start in pending))
             y, f, L = np.concatenate(ys, axis=1), np.concatenate(fs, axis=1), np.concatenate(Ls, axis=2)
         while live:
             y, f, L, accepted = _round(self.assembler, y, f, L, live,
@@ -563,8 +556,9 @@ class Batch:
             for b, (m, ok) in enumerate(zip(live, accepted)):
                 m.rhs_evals += 6
                 if ok:
-                    m.stepped(self, y[:, b], f[:, b], bounds[b])
-                elif m.underflows():
+                    m.advance(self, y[:, b], f[:, b], bounds[b])
+                # The next attempt, a step's first or a shrunk retry, underflows.
+                if m.result is None and m.underflows():
                     m.finish(self, OUTCOME_BLOWUP, y[:, b], m.t, REASON_UNDERFLOW)
             if any(m.result is not None for m in live):
                 keep = [b for b, m in enumerate(live) if m.result is None]
@@ -598,17 +592,12 @@ def save_run(result: RunResult, out_dir) -> dict:
     that is not strict JSON (a non-finite value) raises ValueError before
     anything is written.
     """
+    summary = result.summary()
+    del summary["final_diagnostics"]
     manifest = {
         "params": params_to_dict(result.params),
         "config": result.config.to_dict(),
-        "outcome": result.outcome,
-        "reason": result.reason,
-        "n_steps": result.n_steps,
-        "steps_rejected": result.steps_rejected,
-        "rhs_evals": result.rhs_evals,
-        "dt_min": result.dt_min,
-        "dt_max": result.dt_max,
-        "final_time": result.final_state.t,
+        **summary,
         "level": result.level,
         "conditions": result.conditions.to_dict(),
         "certificate": result.cert.to_dict() if result.cert is not None else None,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import decimal
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from decimal import Decimal
 from typing import NamedTuple
 
@@ -227,7 +227,7 @@ class Inequality:
     rhs: float
 
     def to_dict(self) -> dict:
-        return {"holds": self.holds, "lhs": self.lhs, "rhs": self.rhs}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -239,8 +239,6 @@ class ConditionReport:
     cond_1_6_iii: Inequality
     cond_1_6: bool
     cond_1_7: Inequality
-    cond_1_8: bool
-    cond_1_8_value: float
     V1: float
     V2: float
     cond_1_9_i: bool
@@ -251,7 +249,19 @@ class ConditionReport:
     cond_2_1_iii: bool
     cond_2_1_iv: bool
     cond_2_1: bool
-    theorem_2_2_applies: bool
+
+    # (1.8) is the diagonal dominance of (1.6)(i); Theorem 2.2 applies iff (2.1) holds.
+    @property
+    def cond_1_8(self) -> bool:
+        return self.cond_1_6_i.holds
+
+    @property
+    def cond_1_8_value(self) -> float:
+        return self.cond_1_6_i.lhs
+
+    @property
+    def theorem_2_2_applies(self) -> bool:
+        return self.cond_2_1
 
     def to_dict(self) -> dict:
         return {
@@ -341,9 +351,6 @@ def check_conditions(p: ModelParams) -> ConditionReport:
             _float(b11 * b22),
         )
 
-        c18_value = diag_dominance
-        c18 = c18_value >= 0
-
         c19_i = (V1 == 0 and V2 != 0) or (V2 == 0 and V1 != 0)
         c19_ii = V1 * V2 > 0
         c19_iii = (d1 - d2) * (V2 - V1) * (A1 * A2 - b11 * b22) > 0
@@ -360,8 +367,6 @@ def check_conditions(p: ModelParams) -> ConditionReport:
         cond_1_6_iii=c16_iii,
         cond_1_6=c16,
         cond_1_7=c17,
-        cond_1_8=c18,
-        cond_1_8_value=_float(c18_value),
         V1=_float(V1),
         V2=_float(V2),
         cond_1_9_i=c19_i,
@@ -372,5 +377,4 @@ def check_conditions(p: ModelParams) -> ConditionReport:
         cond_2_1_iii=c21_iii,
         cond_2_1_iv=c21_iv,
         cond_2_1=c21,
-        theorem_2_2_applies=c21,
     )

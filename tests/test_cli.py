@@ -97,9 +97,12 @@ def test_check_missing_file(capsys, tmp_path):
     ["check", "{huge}"],
     ["certify", "{huge}"],
     ["sweep", "{huge}", "--n", "2", "--out", "{out}"],
+    ["run", "case1", "--atol", "inf", "--tmax", "3", "--out", "{out}"],
+    ["sweep", "case1", "--rtol", "inf", "--tmax", "3", "--out", "{out}"],
+    ["run", "case1", "--tmax", "inf", "--out", "{out}"],
 ], ids=["check", "certify", "run", "sweep", "run-ic-file", "run-ic-fractional-j", "run-ic-negative-j",
         "run-ic-empty-value", "sweep-snapshot-dt", "certify-kmax-inf", "certify-kmax-1e200", "check-huge",
-        "certify-huge", "sweep-huge"])
+        "certify-huge", "sweep-huge", "run-atol-inf", "sweep-rtol-inf", "run-tmax-inf"])
 def test_bad_input_exits_one_with_an_error_line(capsys, tmp_path, argv):
     # huge.json has condition sides beyond the double range.
     paths = {"missing": tmp_path / "nope.json", "out": tmp_path / "out",
@@ -108,6 +111,7 @@ def test_bad_input_exits_one_with_an_error_line(capsys, tmp_path, argv):
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
+    assert not paths["out"].exists()
 
 
 def test_check_output_is_deterministic(capsys):
@@ -392,6 +396,17 @@ def test_sweep_manifest_is_strict_json_without_equilibrium(capsys, tmp_path):
     for entry in manifest["runs"]:
         json.loads((out_dir / entry["out_dir"] / "manifest.json").read_text(),
                    parse_constant=reject)
+
+
+def test_sweep_manifest_that_is_not_strict_json_is_not_written(capsys, tmp_path, monkeypatch):
+    # A deviation that is not finite has no JSON form.  The sweep manifest is
+    # serialized before its file is opened, so no truncated file is left.
+    monkeypatch.setattr(cli, "coexistence_steady_state", lambda p: (np.nan, np.nan))
+    out_dir = tmp_path / "sweep"
+    code, _, err = run_cli(capsys, "sweep", "case1", "--n", "2", "--tmax", "1.0", "--out", str(out_dir))
+    assert code == 1
+    assert err.startswith("error:") and "JSON" in err
+    assert not (out_dir / "sweep_manifest.json").exists()
 
 
 def test_sweep_records_failed_cells(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from sktspec.integrate import (
     save_run,
 )
 from sktspec.lyapunov import LyapunovCert, eval_H, eval_L, find_certificate
-from sktspec.model import coexistence_steady_state, params_from_dict, preset
+from sktspec.model import PRESETS, coexistence_steady_state, params_from_dict, preset
 from sktspec.reference import fd_reference
 from sktspec.spectral import SpectralState, synthesize
 
@@ -30,6 +31,18 @@ PURE_DIFFUSION = dict(d1=1.0, d2=1.0, a1=0.0, b1=1e-300, c1=0.0,
                       a2=0.0, b2=0.0, c2=1e-300,
                       alpha11=0.0, alpha12=0.0, alpha21=0.0, alpha22=0.0,
                       b11=0.0, b22=0.0)
+
+# Mutual amplification with negligible saturation: a constant state explodes
+# in finite time.
+DIVERGENT = dict(d1=0.01, d2=0.01, a1=1.0, b1=0.01, c1=2.0,
+                 a2=1.0, b2=2.0, c2=0.01,
+                 alpha11=0.0, alpha12=0.0, alpha21=0.0, alpha22=0.0,
+                 b11=0.0, b22=0.0)
+
+# case1 with every alpha_ij = 0.1 and b11 = b22 = 1.9: det A < 0 at the
+# coexistence state, and the certificate search does not apply.
+ILL_POSED = dict(PRESETS["case1"], alpha11=0.1, alpha12=0.1, alpha21=0.1, alpha22=0.1,
+                 b11=1.9, b22=1.9)
 
 
 def constant_state(n, u, v):
@@ -475,6 +488,28 @@ def test_members_leave_a_mixed_batch_independently(case1, tmp_path):
         assert_same_run(got, want, tmp_path / str(i))
 
 
+def test_step_underflow_ends_members_of_a_mixed_batch(tmp_path):
+    # The 1.0 member underflows at the first attempt of a step, after 0
+    # rejections; the 0.05 member underflows at t ~ 2.4 after one rejection;
+    # the 0.0 member sits at a fixed point.
+    p = params_from_dict(DIVERGENT)
+    config = RunConfig(n=2, t_max=5.0, blowup_threshold=1e300)
+    ics = [({"type": "constant", "value": c}, {"type": "constant", "value": c})
+           for c in (1.0, 0.0, 0.05)]
+    batch = Batch(p, config)
+    for ic_u, ic_v in ics:
+        batch.add(ic_u, ic_v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        together = batch.integrate()
+        alone = [run(p, config, ic_u, ic_v) for ic_u, ic_v in ics]
+    assert [(r.outcome, r.reason) for r in together] == [
+        ("blow_up", "step_underflow"), ("steady_state", None), ("blow_up", "step_underflow")]
+    assert [r.steps_rejected for r in together] == [0, 0, 1]
+    assert together[0].final_state.t < together[2].final_state.t < config.t_max
+    for i, (got, want) in enumerate(zip(together, alone)):
+        assert_same_run(got, want, tmp_path / str(i))
+
+
 def test_run_reaches_steady_state(case1):
     config = RunConfig(n=4, t_max=100.0)
     result = run(case1, config, {"type": "constant", "value": 0.5},
@@ -490,6 +525,22 @@ def test_run_reaches_steady_state(case1):
     assert result.timeseries[0].t == 0.0
     assert len(result.timeseries) == len(result.snapshots)
     assert result.n_steps > 0
+
+
+@pytest.mark.parametrize("values", [PRESETS["case1"], ILL_POSED], ids=["case1", "ill-posed"])
+def test_level_is_max_H_of_the_t0_record(values):
+    p = params_from_dict(values)
+    n = 4
+    ic_v = {"type": "cosine", "offset": 0.205, "terms": [{"j": 1, "k": 1, "amp": 0.01}]}
+    result = run(p, RunConfig(n=n, t_max=0.5, snapshot_dt=0.25), SWEEP_SHAPES["C"], ic_v)
+    first = result.timeseries[0]
+    assert result.level == first.max_H
+    assert first.L_value == 0.0
+    if result.cert is None:
+        assert values is ILL_POSED and result.level == 0.0
+    else:
+        u, v = synthesize(result.snapshots[0], 4 * (n + 1))
+        assert result.level == float(np.max(eval_H(result.cert, u, v).H))
 
 
 def test_steady_state_is_sound_under_restart(case1):
@@ -540,11 +591,7 @@ def test_low_mass_gaussian_approaches_equilibrium_level_from_below(case1):
 
 
 def test_run_blow_up_outcome():
-    # mutual amplification with negligible saturation explodes in finite time
-    p = params_from_dict(dict(d1=0.01, d2=0.01, a1=1.0, b1=0.01, c1=2.0,
-                              a2=1.0, b2=2.0, c2=0.01,
-                              alpha11=0.0, alpha12=0.0, alpha21=0.0,
-                              alpha22=0.0, b11=0.0, b22=0.0))
+    p = params_from_dict(DIVERGENT)
     with np.errstate(over="ignore", invalid="ignore"):
         result = run(p, RunConfig(n=2, t_max=5.0), {"type": "constant", "value": 1.0},
                      {"type": "constant", "value": 1.0})
@@ -557,10 +604,7 @@ def test_run_blow_up_outcome():
 def test_run_blow_up_reason_step_underflow():
     # With the sup threshold out of reach, the step collapses at the
     # finite-time singularity instead.
-    p = params_from_dict(dict(d1=0.01, d2=0.01, a1=1.0, b1=0.01, c1=2.0,
-                              a2=1.0, b2=2.0, c2=0.01,
-                              alpha11=0.0, alpha12=0.0, alpha21=0.0,
-                              alpha22=0.0, b11=0.0, b22=0.0))
+    p = params_from_dict(DIVERGENT)
     with np.errstate(over="ignore", invalid="ignore"):
         result = run(p, RunConfig(n=2, t_max=5.0, blowup_threshold=1e300),
                      {"type": "constant", "value": 1.0}, {"type": "constant", "value": 1.0})
@@ -590,6 +634,31 @@ def test_run_config_validation():
         RunConfig(max_steps=0).validate()
     with pytest.raises(ValueError, match="truncation"):
         RunConfig(n=-1).validate()
+    for name in ("t_max", "rtol", "atol", "snapshot_dt", "steady_tol", "blowup_threshold"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                RunConfig(**{name: value}).validate()
+    # Below the reach tolerance 1e-12 every snapshot time counts as reached
+    # at t = 0, and the run would record the initial state eleven times.
+    with pytest.raises(ValueError, match="snapshot_dt"):
+        RunConfig(t_max=1e-14, snapshot_dt=1e-15).validate()
+    RunConfig(t_max=1e12).validate()
+
+
+def test_snapshot_schedule_is_computed_on_demand(case1):
+    # 10^12 snapshot times would not fit in memory; the budget ends the run
+    # long before the first of them is needed.
+    start = time.perf_counter()
+    batch = Batch(case1, RunConfig(t_max=1e12, max_steps=50))
+    batch.add(SWEEP_SHAPES["C"], SWEEP_SHAPES["A"])
+    (result,) = batch.integrate()
+    assert time.perf_counter() - start < 1.0
+    assert (result.outcome, result.n_steps) == ("step_budget_exhausted", 50)
+    # i * snapshot_dt, then t_max where the grid stops short of it
+    result = run(case1, RunConfig(n=2, t_max=0.5, snapshot_dt=0.07),
+                 SWEEP_SHAPES["C"], SWEEP_SHAPES["A"])
+    assert result.outcome == "t_max_reached"
+    assert [rec.t for rec in result.timeseries] == [i * 0.07 for i in range(8)] + [0.5]
 
 
 def test_diagnostics_reference_values(case1):
