@@ -165,6 +165,7 @@ def cmd_certify(args) -> int:
         return 2
     cert.check_finite()
     sign = check_reaction_sign(p, cert, _DEFAULT_SIGN_LEVEL, seed=args.seed)
+    sign.check_finite()
     payload = cert.to_dict()
     payload.update({
         "phi_coeffs": list(sign.phi_coeffs),

@@ -319,11 +319,13 @@ class RunConfig:
         for name in ("t_max", "rtol", "atol", "steady_tol", "blowup_threshold"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        # Below the reach tolerance, snapshot times would count as reached without a step.
-        if not _reach_tol(self.t_max) <= self.snapshot_dt <= self.t_max:
+        # Within the reach tolerance, snapshot times would count as reached without a
+        # step: from t = 0 at any t_max, and late in the run below 1e-12 t_max.
+        if not (_reach_tol(self.t_max) <= self.snapshot_dt <= self.t_max
+                and self.snapshot_dt > _reach_tol(self.snapshot_dt)):
             raise ValueError(
-                f"snapshot_dt must lie in [{_reach_tol(self.t_max)}, t_max], "
-                f"got {self.snapshot_dt} with t_max={self.t_max}")
+                f"snapshot_dt must exceed {_reach_tol(0.0)} and lie in "
+                f"[{_reach_tol(self.t_max)}, t_max], got {self.snapshot_dt} with t_max={self.t_max}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         return self
@@ -514,10 +516,10 @@ class Batch:
             self.cert.check_finite()
         self.assembler = RhsAssembler.for_order(params, config.n)
         # Snapshot targets, each computed when a member reaches it: i * snapshot_dt
-        # from t = 0 on, then t_max unless the last is within 1e-12 t_max of it.
+        # from t = 0 on, then t_max unless the last is within its reach tolerance.
         self._n_grid = int(config.t_max / config.snapshot_dt + 1e-9) + 1
         last = self._target_time(self._n_grid - 1)
-        self._n_targets = self._n_grid + (last < config.t_max - 1e-12 * config.t_max)
+        self._n_targets = self._n_grid + (last < config.t_max - _reach_tol(config.t_max))
         self.members: list = []
         # Each member's (y, F(y), L) at the start, with a member axis of length 1.
         self._starts: list = []

@@ -208,14 +208,14 @@ def _try_certificate(p: ModelParams, ksq: float, require_negative: bool) -> Opti
     return LyapunovCert(lam, mu, K, du, dv, dd, hi_l, hi_m, feasible=bool(du < 0 and dv < 0))
 
 
-# Points of find_certificate's geometric K^2 grid, 1 + 10^-k (k_max^2 - 1).
-_K_GRID_POINTS = 41
+# Steps 10^-k, k = 0..40, of find_certificate's geometric K^2 grid 1 + 10^-k (k_max^2 - 1).
+_K_GRID_STEPS = tuple(10.0 ** (-k) for k in range(41))
 
 
 def _search_order(span: float):
     """(K^2, require_negative) in search order: the grid, a 400-point denser
     sweep built only once the grid has failed, then the grid with the fallback."""
-    grid = [1.0 + 10.0 ** (-k) * span for k in range(_K_GRID_POINTS)]
+    grid = [1.0 + step * span for step in _K_GRID_STEPS]
     grid = [ksq for ksq in grid if ksq > 1.0]
     yield from ((ksq, True) for ksq in grid)
     yield from ((1.0 + eps, True) for eps in np.geomspace(span, 1e-15, 400).tolist())
@@ -291,6 +291,18 @@ class SignReport:
             "seed": self.seed,
         }
 
+    def check_finite(self) -> None:
+        """Raise ValueError naming the first value of to_dict that is not finite.
+
+        Coefficients near the top of the double range overflow the sampled
+        values; such a report has no JSON form.
+        """
+        for key, value in self.to_dict().items():
+            values = value if isinstance(value, list) else [value]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"sign report field {key} is not finite ({value}): "
+                                 "the parameters overflow it")
+
 
 def check_reaction_sign(p: ModelParams, cert: LyapunovCert, level: float,
                         samples: int = 10_000, seed: int = 0) -> SignReport:
@@ -302,24 +314,25 @@ def check_reaction_sign(p: ModelParams, cert: LyapunovCert, level: float,
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    u = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
-    v = 10.0 ** rng.uniform(-3.0, 3.0, size=samples)
-    mask = _H(cert, u, v) > level
-    n_eval = int(np.count_nonzero(mask))
-    u, v = u[mask], v[mask]
-    Hu, Hv = _grad_H(cert, u, v)
-    f, g = reactions(p, u, v)
-    value = Hu * f + Hv * g
+    # One (2, samples) draw is the stream of a u draw followed by a v draw.
+    uv = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, size=(2, samples))
+    # Huge coefficients overflow Phi to inf, or to nan where infs cancel; an
+    # inf counts as a violation and a nan does not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        above = _H(cert, uv[0], uv[1]) > level
+        u, v = uv.compress(above, axis=1)
+        Hu, Hv = _grad_H(cert, u, v)
+        f, g = reactions(p, u, v)
+        value = Hu * f + Hv * g
+    n_eval = u.size
     violating = value > 0.0
-    n_bad = int(np.count_nonzero(violating))
-    worst = float(value[violating].max()) if n_bad else 0.0
     return SignReport(
         level=level,
         n_samples=samples,
         n_evaluated=n_eval,
-        violation_fraction=n_bad / n_eval if n_eval else 0.0,
-        max_violation=worst,
+        violation_fraction=int(np.count_nonzero(violating)) / n_eval if n_eval else 0.0,
+        # Every violation is > 0, so the initial 0.0 is the value when there is none.
+        max_violation=float(value.max(where=violating, initial=0.0)),
         phi_coeffs=phi_coefficients(p, cert),
         seed=seed,
     )

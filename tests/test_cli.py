@@ -100,9 +100,11 @@ def test_check_missing_file(capsys, tmp_path):
     ["run", "case1", "--atol", "inf", "--tmax", "3", "--out", "{out}"],
     ["sweep", "case1", "--rtol", "inf", "--tmax", "3", "--out", "{out}"],
     ["run", "case1", "--tmax", "inf", "--out", "{out}"],
+    ["run", "case1", "--tmax", "1e-12", "--snapshot-dt", "1e-12", "--out", "{out}"],
 ], ids=["check", "certify", "run", "sweep", "run-ic-file", "run-ic-fractional-j", "run-ic-negative-j",
         "run-ic-empty-value", "sweep-snapshot-dt", "certify-kmax-inf", "certify-kmax-1e200", "check-huge",
-        "certify-huge", "sweep-huge", "run-atol-inf", "sweep-rtol-inf", "run-tmax-inf"])
+        "certify-huge", "sweep-huge", "run-atol-inf", "sweep-rtol-inf", "run-tmax-inf",
+        "run-tiny-horizon"])
 def test_bad_input_exits_one_with_an_error_line(capsys, tmp_path, argv):
     # huge.json has condition sides beyond the double range.
     paths = {"missing": tmp_path / "nope.json", "out": tmp_path / "out",
@@ -269,6 +271,27 @@ def test_overflowing_certificate_fails_before_any_step(capsys, tmp_path, command
     assert err == "error: certificate field delta_v is not finite (nan): the parameters overflow it\n"
     assert not stepped
     assert not (tmp_path / "out").exists()
+
+
+# case1 with reactions near the top of the double range: the sign sample's
+# values overflow to inf (first set, whose largest violation stays finite),
+# or to inf and nan (second set, whose largest violation is inf).
+@pytest.mark.parametrize("overrides, code, err", [
+    (dict(a1=1e300, b1=1e300), 0, ""),
+    (dict(c1=-1e300, b2=1e300), 1,
+     "error: sign report field max_violation is not finite (inf): the parameters overflow it\n"),
+], ids=["finite-report", "infinite-violation"])
+def test_certify_overflowing_sample_keeps_stderr_clean(capfd, tmp_path, overrides, code, err):
+    path = write_params(tmp_path, "overflow.json", **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main(["certify", path])
+    captured = capfd.readouterr()
+    assert (got, captured.err) == (code, err)
+    if code == 0:
+        json.loads(captured.out)
+    else:
+        assert captured.out == ""
 
 
 def test_run_reruns_are_byte_identical(capsys, tmp_path):

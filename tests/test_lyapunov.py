@@ -19,7 +19,7 @@ from sktspec.lyapunov import (
     phi_coefficients,
     window_bounds,
 )
-from sktspec.model import params_from_dict, reactions
+from sktspec.model import PRESETS, params_from_dict, reactions
 from sktspec.reference import eval_psi_forms, form_coefficients, phi_cubic
 
 BASE = dict(d1=0.1, d2=0.2, a1=1.0, b1=1.0, c1=0.5, a2=0.3, b2=0.5, c2=1.0,
@@ -322,13 +322,51 @@ def _fresh_sign_report(p, cert, level, samples, seed):
     }
 
 
+def _assert_sign_report_matches(p, cert, level, samples, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = check_reaction_sign(p, cert, level, samples=samples, seed=seed)
+    with np.errstate(all="ignore"):
+        assert got.to_dict() == _fresh_sign_report(p, cert, level, samples, seed)
+
+
+def _screened_sets(count, seed):
+    # Drawn as the screen-params benchmark draws them: case1 kinetics,
+    # cross-diffusion weights in [0, 2), b11 and b22 in [0.01, 2), both
+    # certificate preconditions holding; half of the sets meet cond_1_7.
+    rng = np.random.default_rng(seed)
+    picked = {True: [], False: []}
+    while min(len(sets) for sets in picked.values()) < count // 2:
+        a11, a12, a21, a22 = rng.uniform(0.0, 2.0, 4)
+        b11, b22 = rng.uniform(0.01, 2.0, 2)
+        if a11 > a21 and a22 > a12:
+            picked[(a11 - a21) * (a22 - a12) > b11 * b22].append(params_from_dict(dict(
+                PRESETS["case1"], alpha11=a11, alpha12=a12, alpha21=a21, alpha22=a22, b11=b11, b22=b22)))
+    return picked[True][:count // 2] + picked[False][:count // 2]
+
+
 def test_reaction_sign_matches_a_fresh_draw(case1, case2):
-    for samples, seed in [(10_000, 0), (100, 3), (2_000, 7)]:
+    for samples, seed in [(10_000, 0), (100, 3), (2_000, 7), (1, 3)]:
         for p in (case1, case2):
-            cert = find_certificate(p)
-            for level in (100.0, 1e12):
-                got = check_reaction_sign(p, cert, level, samples=samples, seed=seed)
-                assert got.to_dict() == _fresh_sign_report(p, cert, level, samples, seed)
+            for level in (100.0, -1.0, 1e12):
+                _assert_sign_report_matches(p, find_certificate(p), level, samples, seed)
+    # Reactions near the top of the double range overflow Phi to inf, and to nan
+    # where two infinite terms cancel.
+    for overrides, has_nan in ((dict(a1=1e300, b1=1e300), False), (dict(c1=-1e300, b2=1e300), True)):
+        p = params_from_dict(dict(PRESETS["case1"], **overrides))
+        cert = find_certificate(p)
+        _assert_sign_report_matches(p, cert, 100.0, 10_000, 0)
+        with np.errstate(all="ignore"):
+            u, v = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, size=(2, 10_000))
+            _, Hu, Hv, _, _, _ = eval_H(cert, u, v)
+            f, g = reactions(p, u, v)
+            phi = Hu * f + Hv * g
+        assert np.isinf(phi).any() and np.isnan(phi).any() == has_nan
+    # Sets without a certificate are sampled with fixed weights.
+    for p in _screened_sets(50, seed=16):
+        cert = find_certificate(p) or certificate_for(p, 2.0, 2.0)
+        for level in (100.0, -1.0):
+            _assert_sign_report_matches(p, cert, level, 10_000, 0)
 
 
 def test_eval_L_examples():
