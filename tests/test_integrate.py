@@ -642,18 +642,17 @@ def test_run_config_validation():
     # at t = 0, and the run would record the initial state eleven times.
     with pytest.raises(ValueError, match="snapshot_dt"):
         RunConfig(t_max=1e-14, snapshot_dt=1e-15).validate()
-    RunConfig(t_max=1e12).validate()
-
-
-def test_every_snapshot_after_t0_takes_a_step(case1):
     # At snapshot_dt = 1e-12 the first snapshot time lies within the reach
     # tolerance of t = 0: it would record the initial state, labelled 1e-12.
     with pytest.raises(ValueError, match="snapshot_dt must exceed 1e-12"):
         RunConfig(t_max=1e-12, snapshot_dt=1e-12).validate()
     # At t_max = 1e12 the tolerance is 1.0, which the default snapshot_dt meets.
     RunConfig(t_max=1e12).validate()
-    # t_max lies within the reach tolerance of the last grid time, so that is
-    # the last snapshot, and every record holds a state a step has reached.
+
+
+def test_t_max_within_reach_of_the_last_grid_time_adds_no_snapshot(case1):
+    # A snapshot at t_max would count as reached without a step and record
+    # the state of the last grid time, labelled 2e-12.
     result = run(case1, RunConfig(n=2, t_max=2e-12, snapshot_dt=1.5e-12),
                  SWEEP_SHAPES["C"], SWEEP_SHAPES["A"])
     assert (result.outcome, result.n_steps) == ("t_max_reached", 1)
