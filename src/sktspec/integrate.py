@@ -319,8 +319,9 @@ class RunConfig:
         for name in ("t_max", "rtol", "atol", "steady_tol", "blowup_threshold"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        # Within the reach tolerance, snapshot times would count as reached without a
-        # step: from t = 0 at any t_max, and late in the run below 1e-12 t_max.
+        # A snapshot time within the reach tolerance of the one before counts as
+        # reached without a step: the first, from t = 0, at snapshot_dt <= 1e-12,
+        # and late ones wherever snapshot_dt < 1e-12 t_max.
         if not (_reach_tol(self.t_max) <= self.snapshot_dt <= self.t_max
                 and self.snapshot_dt > _reach_tol(self.snapshot_dt)):
             raise ValueError(
