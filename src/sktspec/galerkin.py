@@ -47,11 +47,11 @@ class RhsAssembler:
     The state splits into its mean (mode (0, 0)) and a zero-mean deviation.
     The mean gives the reactions pi*(f, g)(u_bar, v_bar) on mode (0, 0) and a
     2x2 linear block per mode, -(j^2 + k^2) A + J, with A the cross-diffusion
-    matrix and J the reaction Jacobian at the mean (rhs_flat leaves them in
-    last_blocks; the time stepper integrates these blocks exactly).  The
-    part quadratic in the deviation is synthesized on the midpoint grid of
-    R = floor(3n/2) + 1 points per axis, formed pointwise, and projected
-    back.  Its integrands are trigonometric of degree at most 3n < 2R per
+    matrix and J the reaction Jacobian at the mean (rhs_flat returns them
+    beside the derivative; the time stepper integrates these blocks
+    exactly).  The part quadratic in the deviation is synthesized on the
+    midpoint grid of R = floor(3n/2) + 1 points per axis, formed pointwise,
+    and projected back.  Its integrands are trigonometric of degree at most 3n < 2R per
     axis, so the midpoint rule integrates them exactly (the 3/2 rule).  A
     homogeneous state has a zero deviation and so gets exact zeros off the
     mean mode.
@@ -73,7 +73,6 @@ class RhsAssembler:
         self._alpha = np.array([[p.alpha11, p.alpha12], [p.alpha21, p.alpha22]]).reshape(2, 2, 1, 1, 1)
         self._cross, self._self_rate, self._other_rate = np.array(
             [[p.b11, p.b22], [p.b1, p.c2], [p.c1, p.b2]]).reshape(3, 2, 1, 1, 1)
-        self.last_blocks = None
 
     @classmethod
     def for_order(cls, params: ModelParams, n: int) -> "RhsAssembler":
@@ -108,20 +107,18 @@ class RhsAssembler:
         L[..., 0, 0] = 0.0
         return L, terms[8:]
 
-    def rhs_flat(self, y: np.ndarray) -> np.ndarray:
-        """Derivative of the packed coefficient vector [mu1.ravel(), mu2.ravel()].
+    # perfbench/spans.py wraps this method by its name, so the name stays.
+    def rhs_flat(self, y: np.ndarray):
+        """Derivative F and linear blocks L of a species-leading batch y, shape (2, B, n+1, n+1).
 
-        y may also be a species-leading batch of shape (2, B, n+1, n+1); the
-        result has the shape of y, and each member's derivative is bit for
-        bit the one it gets alone.  The linear blocks at the means are left
-        in last_blocks (shape (2, 2, B, n+1, n+1)), where the time stepper
-        takes them as the next step's frozen linear part.
+        F has the shape of y, and each member's F is bit for bit the one it
+        gets in a batch of one.  L, shape (2, 2, B, n+1, n+1), holds the
+        blocks at each member's mean (see _mean_terms); the time stepper
+        takes them as the next step's frozen linear part.  y is not changed.
         """
         C, D = self._C, self._D
-        w = self.n + 1
-        mu = y.reshape(2, -1, w, w).copy()
+        mu = y.copy()
         L, mean_reactions = self._mean_terms(mu)
-        self.last_blocks = L
         mu[:, :, 0, 0] = 0.0
 
         # Linear part at the mean.
@@ -141,15 +138,14 @@ class RhsAssembler:
         py = s * gy + bg * gy[::-1]
         r = g * (self._self_rate * g - self._other_rate * g[::-1])
         out -= self._cell * (D @ px @ C.T + C @ (py @ D.T + r @ C.T))
-        return out.reshape(y.shape)
+        return out, L
 
     def rhs(self, state: SpectralState):
+        """(dmu1, dmu2) of one state: rhs_flat on a batch of one."""
         if state.n != self.n:
             raise ValueError(f"state order {state.n} does not match assembler order {self.n}")
-        width = self.n + 1
-        dy = self.rhs_flat(np.concatenate([state.mu1.ravel(), state.mu2.ravel()]))
-        m = width * width
-        return dy[:m].reshape(width, width), dy[m:].reshape(width, width)
+        F, _ = self.rhs_flat(np.stack([state.mu1, state.mu2])[:, None])
+        return F[0, 0], F[1, 0]
 
 
 def rhs_oracle(params: ModelParams, state: SpectralState, resolution: int):

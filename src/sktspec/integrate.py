@@ -1,9 +1,9 @@
 """Adaptive time integration and run orchestration.
 
 The coefficient ODE system y' = F(y) is split as y' = L y + N(y), with L the
-per-mode 2x2 linear blocks that RhsAssembler.rhs_flat forms at the spatial
-mean, frozen at the mean of each step's start (zero on the mean mode), and
-N = F - L y.  Each step is the integrating-factor ("Lawson") form of the
+per-mode 2x2 linear blocks that RhsAssembler.rhs_flat returns beside F,
+formed at the spatial mean of each step's start (zero on the mean mode) and
+frozen for the step, and N = F - L y.  Each step is the integrating-factor ("Lawson") form of the
 embedded Dormand-Prince 5(4) pair: every stage carries the exact block
 exponentials exp(theta h L), so the stiff diffusion of high modes sets no
 stability limit and the step is chosen by accuracy alone.  It keeps six rhs
@@ -29,12 +29,12 @@ steady_state, t_max_reached or step_budget_exhausted, or begins the next
 step.  The t = 0 record gives the level of the L functional, the max of H
 over the initial fields.  After every round, a member whose next attempt
 falls below the resolvable scale ends in blow_up (reason step_underflow).
-Each run counts accepted steps, rejected attempts and rhs evaluations,
-beside the range dt_min..dt_max of its accepted steps.  It evaluates the
-rhs once at the initial state and then only inside step attempts: every
-snapshot time is a step end, so the diagnostics there read the derivative
-the stepper already holds, and rhs_evals = 6 * (accepted + rejected) + 1
-for every member, whatever the batch.  A step cut short to land on a
+Each run counts accepted steps and rejected attempts, beside the range
+dt_min..dt_max of its accepted steps.  It evaluates the rhs once at the
+initial state and then only inside step attempts: every snapshot time is a
+step end, so the diagnostics there read the derivative the stepper already
+holds.  Its rhs_evals is therefore 6 * (accepted + rejected) + 1, whatever
+the batch.  A step cut short to land on a
 snapshot time, and accepted at its first attempt, leaves the controller's
 proposal and error history as they were, so the snapshot cadence does not
 throttle the step size.  save_run writes a run directory: manifest.json,
@@ -189,8 +189,8 @@ def _attempt(assembler: RhsAssembler, L: np.ndarray, y: np.ndarray, f: np.ndarra
 
     Members lie on axis 1 of y and of f = F(y), shape (2, B, w, w), and on
     axis 2 of L, shape (2, 2, B, w, w).  Returns (y_new, error vector,
-    F(y_new)), each shaped like y; the rhs leaves the linear blocks of y_new
-    in assembler.last_blocks for the next step (FSAL).
+    F(y_new), the linear blocks of y_new): the first three shaped like y, the
+    last like L, and the last two serve the next step (FSAL).
     """
     E = _block_exp(L, np.multiply.outer(_THETA, h)[:, :, None, None])
     W = h[:, None, None] * _ROW_WEIGHT
@@ -205,10 +205,10 @@ def _attempt(assembler: RhsAssembler, L: np.ndarray, y: np.ndarray, f: np.ndarra
 
     for i in range(1, 7):
         Y = row(i, slice(0, i + 1))
-        f = assembler.rhs_flat(Y)
+        f, L_new = assembler.rhs_flat(Y)
         V[i + 1] = f - _apply(L, Y)
     # c_6 = 1 and row 6 holds the 5th-order weights, so Y_6 is the new state.
-    return Y, row(7, slice(1, 8)), f
+    return Y, row(7, slice(1, 8)), f, L_new
 
 
 def _error_norms(e: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, atol: float) -> list:
@@ -285,8 +285,7 @@ def _round(assembler: RhsAssembler, y: np.ndarray, f: np.ndarray, L: np.ndarray,
     carry their new state, its F and its linear blocks, and the others keep
     theirs for a shorter attempt.
     """
-    y_new, e, f_new = _attempt(assembler, L, y, f, np.array([c.dt for c in controls]))
-    L_new = assembler.last_blocks
+    y_new, e, f_new, L_new = _attempt(assembler, L, y, f, np.array([c.dt for c in controls]))
     accepted = [c.settle(err) for c, err in zip(controls, _error_norms(e, y, y_new, rtol, atol))]
     if all(accepted):
         return y_new, f_new, L_new, accepted
@@ -391,15 +390,15 @@ def diagnostics(state: SpectralState, dy: np.ndarray,
                 cert: Optional[LyapunovCert] = None, level: float = 0.0) -> DiagnosticRecord:
     """Synthesized-field diagnostics at one instant.
 
-    dy is the derivative of the state, packed as [dmu1.ravel(), dmu2.ravel()]
-    or of shape (2, n+1, n+1), which a run already holds from its stepper.  Masses come from the
-    constant mode (mu_00 * pi); extrema, max_H, and the level-set functional
-    L are read off the diagnostic grid of 4(n+1) points per axis; rhs_norm
-    is the Frobenius norm of dy, summed per species.
+    dy is the derivative of the state, shape (2, n+1, n+1), which a run
+    already holds from its stepper.  Masses come from the constant mode
+    (mu_00 * pi); extrema, max_H, and the level-set functional L are read
+    off the diagnostic grid of 4(n+1) points per axis; rhs_norm is the
+    Frobenius norm of dy, summed per species.
     """
     res = 4 * (state.n + 1)
     u, v = synthesize(state, res)
-    d1, d2 = np.split(dy, 2)
+    d1, d2 = dy
     rhs_norm = math.sqrt(float(np.sum(d1 * d1) + np.sum(d2 * d2)))
     if cert is not None:
         H = eval_H(cert, u, v).H
@@ -438,7 +437,6 @@ class _Member(_Control):
         self.projection = projection
         # Set by the t = 0 record, whose L at level +inf is 0, as at max H.
         self.level = math.inf
-        self.rhs_evals = 1
         self.target = 0
         self.streak = 0
         self.timeseries: list = []
@@ -452,8 +450,8 @@ class _Member(_Control):
             timeseries=self.timeseries, snapshots=self.snapshots, conditions=batch.conditions,
             cert=batch.cert, level=self.level, projection=self.projection, config=batch.config,
             params=batch.params, n_steps=self.n_steps, steps_rejected=self.steps_rejected,
-            rhs_evals=self.rhs_evals, dt_min=self.dt_min if self.n_steps else None,
-            dt_max=self.dt_max if self.n_steps else None)
+            rhs_evals=1 + 6 * (self.n_steps + self.steps_rejected),
+            dt_min=self.dt_min if self.n_steps else None, dt_max=self.dt_max if self.n_steps else None)
 
     def advance(self, batch: "Batch", y: np.ndarray, f: np.ndarray, sup_bound: float = 0.0) -> None:
         """At set-up or after an accepted step: the blow-up test, the snapshots
@@ -529,6 +527,9 @@ class Batch:
         """Snapshot target i of _n_targets."""
         return i * self.config.snapshot_dt if i < self._n_grid else self.config.t_max
 
+    # add and integrate silence numpy's floating-point warnings: an overflow
+    # takes its designed path, an infinite error norm and a rejection.
+    @np.errstate(over="ignore", invalid="ignore")
     def add(self, ic_u, ic_v) -> None:
         """Set up one run: project the initial pair, evaluate its first rhs
         and record its first snapshot.
@@ -538,13 +539,14 @@ class Batch:
         """
         state, projection = project_initial(ic_u, ic_v, self.config.n)
         y = np.stack([state.mu1, state.mu2])[:, None]
-        # F(y), kept current by every step (FSAL); the diagnostics read it too.
-        f = self.assembler.rhs_flat(y)
+        # F(y) and L, kept current by every step (FSAL); the diagnostics read F too.
+        f, L = self.assembler.rhs_flat(y)
         member = _Member(self.config, projection)
         member.advance(self, y[:, 0], f[:, 0])
         self.members.append(member)
-        self._starts.append((y, f, self.assembler.last_blocks))
+        self._starts.append((y, f, L))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def integrate(self) -> list:
         """Step every member to its outcome; returns the results in the order of add."""
         pending = [(m, start) for m, start in zip(self.members, self._starts) if m.result is None]
@@ -557,7 +559,6 @@ class Batch:
                                        self.config.rtol, self.config.atol)
             bounds = _sup_bounds(y)
             for b, (m, ok) in enumerate(zip(live, accepted)):
-                m.rhs_evals += 6
                 if ok:
                     m.advance(self, y[:, b], f[:, b], bounds[b])
                 # The next attempt, a step's first or a shrunk retry, underflows.

@@ -32,7 +32,7 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def package_env():
+def subprocess_env():
     """Environment for a subprocess that must import this copy of sktspec."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sktspec.__file__)))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

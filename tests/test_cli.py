@@ -25,11 +25,11 @@ def write_params(tmp_path, name, **overrides):
     return str(path)
 
 
-def test_run_path_does_not_import_the_references(package_env):
+def test_run_path_does_not_import_the_references(subprocess_env):
     # sktspec.reference holds test-only second paths; a fresh interpreter
     # that loads the package and the command line must not load it.
     code = "import sys, sktspec, sktspec.cli; print('sktspec.reference' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "False"
 
@@ -292,6 +292,30 @@ def test_certify_overflowing_sample_keeps_stderr_clean(capfd, tmp_path, override
         json.loads(captured.out)
     else:
         assert captured.out == ""
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# case1 with c2 = 1e14: the kinetic time scale is below what the stepper
+# resolves, so the attempts overflow and are rejected until the step underflows.
+@pytest.mark.parametrize("argv", [
+    ["run", "--ic", "cosine:0.5,0.2,1,1"],
+    ["sweep", "--n", "2"],
+], ids=lambda argv: argv[0])
+def test_overflowing_steps_keep_stderr_clean(capfd, tmp_path, argv):
+    command, *options = argv
+    path = write_params(tmp_path, "fast.json", c2=1e14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, path, *options, "--out", str(tmp_path / "out")])
+    captured = capfd.readouterr()
+    assert (code, captured.err) == (3, "")
+    if command == "run":
+        assert strict_json(captured.out)["reason"] == "step_underflow"
 
 
 def test_run_reruns_are_byte_identical(capsys, tmp_path):

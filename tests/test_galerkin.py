@@ -100,8 +100,22 @@ def test_rhs_method_unpacks_rhs_flat(case2, rng):
     asm = RhsAssembler.for_order(case2, 3)
     state = random_state(rng, 3)
     d1, d2 = asm.rhs(state)
-    dy = asm.rhs_flat(np.concatenate([state.mu1.ravel(), state.mu2.ravel()]))
-    assert np.array_equal(np.concatenate([d1.ravel(), d2.ravel()]), dy)
+    F, L = asm.rhs_flat(np.stack([state.mu1, state.mu2])[:, None])
+    assert np.array_equal(np.stack([d1, d2]), F[:, 0])
+    assert L.shape == (2, 2, 1, 4, 4)
+
+
+def test_rhs_flat_is_pure(case2):
+    # rhs_flat returns its blocks: it sets no attribute and leaves y as it was.
+    rng = np.random.default_rng(7)
+    asm = RhsAssembler.for_order(case2, 4)
+    y = 0.3 * rng.normal(size=(2, 3, 5, 5))
+    y[:, :, 0, 0] += np.pi
+    before, y_before = dict(vars(asm)), y.copy()
+    asm.rhs_flat(y)
+    assert vars(asm).keys() == before.keys()
+    assert all(vars(asm)[key] is value for key, value in before.items())
+    assert np.array_equal(y, y_before)
 
 
 def params_strategy():

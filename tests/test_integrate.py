@@ -54,10 +54,6 @@ def constant_state(n, u, v):
     return SpectralState(mu1, mu2, 0.0)
 
 
-def pack(state):
-    return np.concatenate([state.mu1.ravel(), state.mu2.ravel()])
-
-
 class StepUnderflow(RuntimeError):
     """The error control collapsed the step below the resolvable scale."""
 
@@ -71,8 +67,7 @@ def step(asm, state, dt, rtol, atol, dt_max=math.inf):
     step_underflow.
     """
     y = np.stack([state.mu1, state.mu2])[:, None]
-    f = asm.rhs_flat(y)
-    L = asm.last_blocks
+    f, L = asm.rhs_flat(y)
     control = _Control(state.t, dt)
     control.begin(dt_max)
     accepted = [False]
@@ -363,7 +358,7 @@ def test_timeseries_matches_fresh_rhs_at_each_snapshot(name, config, shape):
     assert len(result.timeseries) == len(result.snapshots) > 2
     asm = RhsAssembler.for_order(p, config.n)
     for record, state in zip(result.timeseries, result.snapshots):
-        assert record == diagnostics(state, asm.rhs_flat(pack(state)), result.cert, result.level)
+        assert record == diagnostics(state, asm.rhs(state), result.cert, result.level)
 
 
 # Dormand-Prince 5(4): nodes, stage weights, 5th-order minus 4th-order weights.
@@ -387,7 +382,7 @@ def lawson_dp5_reference(asm, L, y, h):
     modes = [(j, k) for j in range(w) for k in range(w)]
 
     def nonlinear(Y):
-        F = asm.rhs_flat(Y.ravel()).reshape(Y.shape)
+        F = np.array(asm.rhs(SpectralState(Y[0], Y[1], 0.0)))
         return F - np.einsum("rsjk,sjk->rjk", L, Y), F
 
     def factor(theta, j, k):
@@ -415,13 +410,13 @@ def test_attempt_matches_plain_lawson_dp5(case2, rng, h):
     # included: the step's accuracy alone does not see a wrong error row.
     n = 2
     asm = RhsAssembler.for_order(case2, n)
-    y = pack(constant_state(n, *coexistence_steady_state(case2)))
-    y += 0.05 * rng.normal(size=y.size)
-    y = y.reshape(2, 1, n + 1, n + 1)  # a batch of one
-    f = asm.rhs_flat(y)
-    L = asm.last_blocks
+    state = constant_state(n, *coexistence_steady_state(case2))
+    y = np.stack([state.mu1, state.mu2])[:, None]  # a batch of one
+    y += 0.05 * rng.normal(size=y.shape)
+    f, L = asm.rhs_flat(y)
     ref_y, ref_err, ref_f = lawson_dp5_reference(asm, L[:, :, 0], y[:, 0], h)
-    y_new, err, f = _attempt(asm, L, y, f, np.array([h]))
+    y_new, err, f, L_new = _attempt(asm, L, y, f, np.array([h]))
+    assert np.array_equal(L_new, asm.rhs_flat(y_new)[1])
     for got, want, tol in ((y_new, ref_y, 1e-12), (f, ref_f, 1e-12), (err, ref_err, 1e-6)):
         got, want = got.ravel(), want.ravel()
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
@@ -434,12 +429,11 @@ def test_batched_rhs_equals_member_calls(case2, n, members):
     asm = RhsAssembler.for_order(case2, n)
     y = 0.3 * rng.normal(size=(2, members, n + 1, n + 1))
     y[:, :, 0, 0] += np.pi
-    batched = asm.rhs_flat(y)
-    blocks = asm.last_blocks
+    batched, blocks = asm.rhs_flat(y)
     for b in range(members):
-        alone = asm.rhs_flat(np.ascontiguousarray(y[:, b]).ravel())
-        assert np.array_equal(batched[:, b].ravel(), alone)
-        assert np.array_equal(blocks[:, :, b], asm.last_blocks[:, :, 0])
+        alone, alone_blocks = asm.rhs_flat(y[:, b:b + 1])
+        assert np.array_equal(batched[:, b:b + 1], alone)
+        assert np.array_equal(blocks[:, :, b:b + 1], alone_blocks)
 
 
 def assert_same_run(got, want, tmp_path):
@@ -679,7 +673,7 @@ def test_diagnostics_reference_values(case1):
     asm = RhsAssembler.for_order(case1, 4)
     cert = LyapunovCert(lam=2.0, mu=1.0, K=math.sqrt(2.0))
     state = constant_state(4, 1.0, 1.0)
-    rec = diagnostics(state, asm.rhs_flat(pack(state)), cert, level=0.0)
+    rec = diagnostics(state, asm.rhs(state), cert, level=0.0)
     assert rec.max_H == pytest.approx(2.5, rel=1e-12)
     assert rec.mass_u == pytest.approx(np.pi**2, rel=1e-12)
     assert rec.mass_v == pytest.approx(np.pi**2, rel=1e-12)
@@ -689,7 +683,7 @@ def test_diagnostics_reference_values(case1):
     assert rec.rhs_norm > 0
 
     zero = constant_state(4, 0.0, 0.0)
-    empty = diagnostics(zero, asm.rhs_flat(pack(zero)))
+    empty = diagnostics(zero, asm.rhs(zero))
     assert empty.max_H == 0.0 and empty.L_value == 0.0
     assert empty.rhs_norm == 0.0 and empty.mass_u == 0.0
     assert set(rec.to_dict()) == {
@@ -712,7 +706,7 @@ def test_diagnostics_L_value_is_eval_L(name, rng):
         state.mu2 += 0.3 * rng.normal(size=state.mu2.shape)
         u, v = synthesize(state, res)
         level = float(np.median(eval_H(cert, u, v).H))
-        rec = diagnostics(state, asm.rhs_flat(pack(state)), cert, level)
+        rec = diagnostics(state, asm.rhs(state), cert, level)
         assert rec.L_value > 0.0
         assert rec.L_value == eval_L(cert, u, v, level, (np.pi / res) ** 2)
         assert rec.max_H == float(np.max(eval_H(cert, u, v).H))
