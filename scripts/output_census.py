@@ -1,10 +1,11 @@
 """Census of what a fixed set of sktspec commands writes, to show whether outputs kept their bytes.
 
 Runs the command line of the sktspec under --src, in process, on a fixed
-set: both sweeps, the case2 Gaussian run at n = 8, 16 and 32, four edge-case
+set: both sweeps, the case2 Gaussian run at n = 8, 16 and 32, five edge-case
 runs (a large constant, an ill-posed set, a short run whose snapshot grid
-stops short of t_max, a tight-tolerance run at n = 12), and check and
-certify on both presets and on the ill-posed set.  Prints one JSON object:
+stops short of t_max, one whose grid misses t_max by rounding, a
+tight-tolerance run at n = 12), and check and certify on both presets and
+on the ill-posed set.  Prints one JSON object:
 the SHA-256 of every file the commands write, each run's outcome, reason,
 final time and counters, and each command's exit code and the SHA-256 of
 its stdout, with the output directory masked as <out>.
@@ -50,6 +51,9 @@ COMMANDS = {
     "run-ill-posed": ["run", ILL_POSED_FILE, "--ic", "constant:0.52", "--ic", "cosine:0.205,0.01,1,1"],
     "run-case1-short": ["run", "case1", "--n", "4", "--tmax", "0.5", "--snapshot-dt", "0.07",
                         "--ic", "gaussian:1.5,1.5,0.5,0.5,0.2"],
+    "run-case1-rounded-grid": ["run", "case1", "--n", "4", "--tmax", "1",
+                               "--snapshot-dt", "0.33333333336666665",
+                               "--ic", "gaussian:1.5,1.5,0.5,0.5,0.2"],
     "run-case1-tight": ["run", "case1", "--n", "12", "--rtol", "1e-9", "--tmax", "3",
                         "--ic", "cosine:0.5,0.3,2,1"],
     **{f"{command}-{source}": [command, source if source != "ill-posed" else ILL_POSED_FILE]

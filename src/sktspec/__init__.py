@@ -18,7 +18,6 @@ from .lyapunov import (
     SignReport,
     check_reaction_sign,
     eval_H,
-    eval_L,
     find_certificate,
 )
 from .model import (
@@ -59,7 +58,6 @@ __all__ = [
     "coexistence_steady_state",
     "diagnostics",
     "eval_H",
-    "eval_L",
     "find_certificate",
     "flux_coeffs",
     "load_snapshots",

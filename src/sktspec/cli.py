@@ -271,11 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="preset name (case1/case2) or parameter JSON file")
 
     def add_run_options(sp):
-        sp.add_argument("--n", type=int, default=8, help="truncation order")
-        sp.add_argument("--tmax", type=float, default=200.0)
-        sp.add_argument("--rtol", type=float, default=1e-7)
-        sp.add_argument("--atol", type=float, default=1e-10)
-        sp.add_argument("--snapshot-dt", type=float, default=1.0, dest="snapshot_dt")
+        sp.add_argument("--n", type=int, default=RunConfig.n, help="truncation order")
+        sp.add_argument("--tmax", type=float, default=RunConfig.t_max)
+        sp.add_argument("--rtol", type=float, default=RunConfig.rtol)
+        sp.add_argument("--atol", type=float, default=RunConfig.atol)
+        sp.add_argument("--snapshot-dt", type=float, default=RunConfig.snapshot_dt, dest="snapshot_dt")
         sp.add_argument("--out", default="sktspec_out", help="output directory")
 
     sp = sub.add_parser("check", help="evaluate the inequality conditions")

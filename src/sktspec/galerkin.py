@@ -32,6 +32,7 @@ from .spectral import (
 
 __all__ = [
     "RhsAssembler",
+    "block_product",
     "ProjectionReport",
     "rhs_oracle",
     "project_initial",
@@ -39,6 +40,11 @@ __all__ = [
     "ic_field",
     "ic_coefficients",
 ]
+
+
+def block_product(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-mode 2x2 blocks M (shape (2, 2) + S) applied to a pair x (shape (2,) + S)."""
+    return M[:, 0] * x[0] + M[:, 1] * x[1]
 
 
 class RhsAssembler:
@@ -122,7 +128,7 @@ class RhsAssembler:
         mu[:, :, 0, 0] = 0.0
 
         # Linear part at the mean.
-        out = L[:, 0] * mu[0] + L[:, 1] * mu[1]
+        out = block_product(L, mu)
         out[:, :, 0, 0] += mean_reactions
 
         # Quadratic part of the deviation, by the 3/2-rule grid: g holds
@@ -132,7 +138,7 @@ class RhsAssembler:
         g = cm @ C
         gx = (D.T @ mu) @ C
         gy = cm @ D
-        s = self._alpha[:, 0] * g[0] + self._alpha[:, 1] * g[1]
+        s = block_product(self._alpha, g)
         bg = self._cross * g
         px = s * gx + bg * gx[::-1]
         py = s * gy + bg * gy[::-1]

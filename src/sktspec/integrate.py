@@ -24,11 +24,14 @@ depend on the batch it ran in; run is a batch of one.
 
 A run ends in one of four ways.  At set-up and after every accepted step,
 _Member.advance makes the blow-up test (blow_up, reason sup_threshold),
-records the snapshots reached on the fixed cadence and ends the run at
-steady_state, t_max_reached or step_budget_exhausted, or begins the next
-step.  The t = 0 record gives the level of the L functional, the max of H
-over the initial fields.  After every round, a member whose next attempt
-falls below the resolvable scale ends in blow_up (reason step_underflow).
+records the snapshots reached (i * snapshot_dt, then t_max where no grid
+time is within reach of it) and ends the run at steady_state,
+t_max_reached or step_budget_exhausted, or begins the next step.  Initial
+fields that fail the blow-up test make Batch.add raise ValueError: a run
+that takes no step has not blown up.  The t = 0 record gives the level of
+the L functional, the max of H over the initial fields.  After every
+round, a member whose next attempt falls below the resolvable scale ends
+in blow_up (reason step_underflow).
 Each run counts accepted steps and rejected attempts, beside the range
 dt_min..dt_max of its accepted steps.  It evaluates the rhs once at the
 initial state and then only inside step attempts: every snapshot time is a
@@ -55,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .galerkin import RhsAssembler, project_initial
+from .galerkin import RhsAssembler, block_product, project_initial
 from .lyapunov import LyapunovCert, PreconditionError, eval_H, find_certificate, level_excess
 from .model import ModelParams, check_conditions, params_to_dict
 from .spectral import SpectralState, synthesize
@@ -179,11 +182,6 @@ def _block_exp(L: np.ndarray, t) -> np.ndarray:
     return E
 
 
-def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-mode 2x2 blocks M (shape (2, 2) + S) applied to x (shape (2,) + S)."""
-    return M[:, 0] * x[0] + M[:, 1] * x[1]
-
-
 def _attempt(assembler: RhsAssembler, L: np.ndarray, y: np.ndarray, f: np.ndarray, h: np.ndarray):
     """One Lawson trial step of size h[b] on y' = L y + N(y) for every member b.
 
@@ -197,7 +195,7 @@ def _attempt(assembler: RhsAssembler, L: np.ndarray, y: np.ndarray, f: np.ndarra
     W[:, :, 0] = _ROW_WEIGHT[:, 0]
     V = np.empty((8,) + y.shape)
     V[0] = y
-    V[1] = f - _apply(L, y)
+    V[1] = f - block_product(L, y)
 
     def row(i, cols):
         return np.einsum("rsjbxy,bj,jsbxy->rbxy",
@@ -206,7 +204,7 @@ def _attempt(assembler: RhsAssembler, L: np.ndarray, y: np.ndarray, f: np.ndarra
     for i in range(1, 7):
         Y = row(i, slice(0, i + 1))
         f, L_new = assembler.rhs_flat(Y)
-        V[i + 1] = f - _apply(L, Y)
+        V[i + 1] = f - block_product(L, Y)
     # c_6 = 1 and row 6 holds the 5th-order weights, so Y_6 is the new state.
     return Y, row(7, slice(1, 8)), f, L_new
 
@@ -296,6 +294,17 @@ def _round(assembler: RhsAssembler, y: np.ndarray, f: np.ndarray, L: np.ndarray,
 def _reach_tol(t: float) -> float:
     """A state within this of the snapshot time t counts as having reached it."""
     return 1e-12 * max(1.0, t)
+
+
+def _target_time(config: "RunConfig", i: int) -> float:
+    """Snapshot target i: i * snapshot_dt while that is within reach of t_max, then t_max."""
+    t = i * config.snapshot_dt
+    return t if t <= config.t_max + _reach_tol(config.t_max) else config.t_max
+
+
+def _pair_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """The Frobenius norm of the pair (a, b)."""
+    return math.sqrt(float(np.sum(a * a) + np.sum(b * b)))
 
 
 @dataclass(frozen=True)
@@ -398,8 +407,7 @@ def diagnostics(state: SpectralState, dy: np.ndarray,
     """
     res = 4 * (state.n + 1)
     u, v = synthesize(state, res)
-    d1, d2 = dy
-    rhs_norm = math.sqrt(float(np.sum(d1 * d1) + np.sum(d2 * d2)))
+    rhs_norm = _pair_norm(*dy)
     if cert is not None:
         H = eval_H(cert, u, v).H
         max_H = float(np.max(H))
@@ -422,6 +430,12 @@ def _sup_bounds(y: np.ndarray) -> list:
     sup|field| <= (2/pi) * sum|mu| since every |phi_jk| <= 2/pi.
     """
     return ((2.0 / np.pi) * np.abs(y).sum(axis=(2, 3)).max(axis=0)).tolist()
+
+
+def _field_sup(config: "RunConfig", y: np.ndarray, t: float) -> float:
+    """sup|field| over both species of y, shape (2, n+1, n+1), on the diagnostic grid."""
+    u, v = synthesize(SpectralState(y[0].copy(), y[1].copy(), t), 4 * (config.n + 1))
+    return max(float(np.abs(u).max()), float(np.abs(v).max()))
 
 
 class _Member(_Control):
@@ -453,23 +467,22 @@ class _Member(_Control):
             rhs_evals=1 + 6 * (self.n_steps + self.steps_rejected),
             dt_min=self.dt_min if self.n_steps else None, dt_max=self.dt_max if self.n_steps else None)
 
-    def advance(self, batch: "Batch", y: np.ndarray, f: np.ndarray, sup_bound: float = 0.0) -> None:
+    def advance(self, batch: "Batch", y: np.ndarray, f: np.ndarray, sup_bound: float) -> None:
         """At set-up or after an accepted step: the blow-up test, the snapshots
         reached, then the next step or an outcome.
 
         sup_bound bounds sup|field| of y from its coefficients (_sup_bounds);
-        only above the threshold are the fields synthesized, and set-up
-        passes none.  Steady state requires the rhs norm to sit below
-        steady_tol*(1 + state norm) at two consecutive snapshots.  Whether the
-        step begun here underflows, Batch.integrate tests after the round.
+        only above the threshold are the fields synthesized.  Steady state
+        requires the rhs norm to sit below steady_tol*(1 + state norm) at two
+        consecutive snapshots; the run reaches t_max when it records a target
+        within reach of t_max.  Whether the step begun here underflows,
+        Batch.integrate tests after the round.
         """
         config = batch.config
-        if sup_bound > config.blowup_threshold:
-            u, v = synthesize(SpectralState(y[0].copy(), y[1].copy(), self.t), 4 * (config.n + 1))
-            if max(float(np.abs(u).max()), float(np.abs(v).max())) > config.blowup_threshold:
-                return self.finish(batch, OUTCOME_BLOWUP, y, self.t, REASON_SUP)
+        if sup_bound > config.blowup_threshold and _field_sup(config, y, self.t) > config.blowup_threshold:
+            return self.finish(batch, OUTCOME_BLOWUP, y, self.t, REASON_SUP)
         while True:
-            t_target = batch._target_time(self.target)
+            t_target = _target_time(config, self.target)
             if self.t < t_target - _reach_tol(t_target):
                 if self.n_steps >= config.max_steps:
                     return self.finish(batch, OUTCOME_BUDGET, y, self.t)
@@ -480,15 +493,15 @@ class _Member(_Control):
                 self.level = record.max_H
             self.timeseries.append(record)
             self.snapshots.append(state)
-            if record.rhs_norm < config.steady_tol * (1.0 + _state_norm(state)):
+            if record.rhs_norm < config.steady_tol * (1.0 + _pair_norm(state.mu1, state.mu2)):
                 self.streak += 1
                 if self.streak >= 2:
                     return self.finish(batch, OUTCOME_STEADY, y, t_target)
             else:
                 self.streak = 0
-            self.target += 1
-            if self.target == batch._n_targets:
+            if t_target >= config.t_max - _reach_tol(config.t_max):
                 return self.finish(batch, OUTCOME_TMAX, y, t_target)
+            self.target += 1
 
 
 class Batch:
@@ -514,35 +527,32 @@ class Batch:
         if self.cert is not None:
             self.cert.check_finite()
         self.assembler = RhsAssembler.for_order(params, config.n)
-        # Snapshot targets, each computed when a member reaches it: i * snapshot_dt
-        # from t = 0 on, then t_max unless the last is within its reach tolerance.
-        self._n_grid = int(config.t_max / config.snapshot_dt + 1e-9) + 1
-        last = self._target_time(self._n_grid - 1)
-        self._n_targets = self._n_grid + (last < config.t_max - _reach_tol(config.t_max))
         self.members: list = []
         # Each member's (y, F(y), L) at the start, with a member axis of length 1.
         self._starts: list = []
-
-    def _target_time(self, i: int) -> float:
-        """Snapshot target i of _n_targets."""
-        return i * self.config.snapshot_dt if i < self._n_grid else self.config.t_max
 
     # add and integrate silence numpy's floating-point warnings: an overflow
     # takes its designed path, an infinite error norm and a rejection.
     @np.errstate(over="ignore", invalid="ignore")
     def add(self, ic_u, ic_v) -> None:
-        """Set up one run: project the initial pair, evaluate its first rhs
-        and record its first snapshot.
+        """Set up one run: project the initial pair, evaluate its first rhs,
+        make the blow-up test and record its first snapshot.
 
         The level for the L functional is the max of H over the initial
-        fields.  Bad initial data raises and leaves the batch as it was.
+        fields.  Bad initial data raises ValueError and leaves the batch as
+        it was; so do initial fields above blowup_threshold, since a run
+        that takes no step has not blown up.
         """
         state, projection = project_initial(ic_u, ic_v, self.config.n)
         y = np.stack([state.mu1, state.mu2])[:, None]
         # F(y) and L, kept current by every step (FSAL); the diagnostics read F too.
         f, L = self.assembler.rhs_flat(y)
         member = _Member(self.config, projection)
-        member.advance(self, y[:, 0], f[:, 0])
+        member.advance(self, y[:, 0], f[:, 0], _sup_bounds(y)[0])
+        if member.result is not None:
+            raise ValueError(
+                f"initial fields reach sup |u|, |v| = {_field_sup(self.config, y[:, 0], 0.0)}, "
+                f"above blowup_threshold {self.config.blowup_threshold}")
         self.members.append(member)
         self._starts.append((y, f, L))
 
@@ -580,10 +590,6 @@ def run(params: ModelParams, config: RunConfig, ic_u, ic_v) -> RunResult:
     batch = Batch(params, config)
     batch.add(ic_u, ic_v)
     return batch.integrate()[0]
-
-
-def _state_norm(state: SpectralState) -> float:
-    return math.sqrt(float(np.sum(state.mu1**2) + np.sum(state.mu2**2)))
 
 
 def save_run(result: RunResult, out_dir) -> dict:

@@ -36,13 +36,21 @@ __all__ = [
     "find_certificate",
     "phi_coefficients",
     "check_reaction_sign",
-    "eval_L",
     "level_excess",
 ]
 
 
 class PreconditionError(ValueError):
     """A certificate search precondition failed (reported distinctly)."""
+
+
+def _check_finite(name: str, fields: dict) -> None:
+    """Raise ValueError naming the first of fields (numbers or lists) that is not finite."""
+    for key, value in fields.items():
+        values = value if isinstance(value, list) else [value]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{name} field {key} is not finite ({value}): "
+                             "the parameters overflow it")
 
 
 @dataclass(frozen=True)
@@ -82,10 +90,7 @@ class LyapunovCert:
         Weights near the top of the double range overflow the discriminants;
         such a certificate certifies nothing and has no JSON form.
         """
-        for key, value in self.to_dict().items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"certificate field {key} is not finite ({value}): "
-                                 "the parameters overflow it")
+        _check_finite("certificate", self.to_dict())
 
 
 class HDerivatives(NamedTuple):
@@ -297,11 +302,7 @@ class SignReport:
         Coefficients near the top of the double range overflow the sampled
         values; such a report has no JSON form.
         """
-        for key, value in self.to_dict().items():
-            values = value if isinstance(value, list) else [value]
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"sign report field {key} is not finite ({value}): "
-                                 "the parameters overflow it")
+        _check_finite("sign report", self.to_dict())
 
 
 def check_reaction_sign(p: ModelParams, cert: LyapunovCert, level: float,
@@ -336,18 +337,6 @@ def check_reaction_sign(p: ModelParams, cert: LyapunovCert, level: float,
         phi_coeffs=phi_coefficients(p, cert),
         seed=seed,
     )
-
-
-def eval_L(cert: LyapunovCert, field_u: np.ndarray, field_v: np.ndarray,
-           level: float, cell_area: float) -> float:
-    """Midpoint-rule value of (1/2) * integral of [(H - level)_+]^2."""
-    field_u = np.asarray(field_u, dtype=float)
-    field_v = np.asarray(field_v, dtype=float)
-    if field_u.shape != field_v.shape:
-        raise ValueError(f"field shapes differ: {field_u.shape} vs {field_v.shape}")
-    if not cell_area > 0:
-        raise ValueError(f"cell_area must be > 0, got {cell_area}")
-    return level_excess(eval_H(cert, field_u, field_v).H, level, cell_area)
 
 
 def level_excess(H: np.ndarray, level: float, cell_area: float) -> float:

@@ -101,10 +101,11 @@ def test_check_missing_file(capsys, tmp_path):
     ["sweep", "case1", "--rtol", "inf", "--tmax", "3", "--out", "{out}"],
     ["run", "case1", "--tmax", "inf", "--out", "{out}"],
     ["run", "case1", "--tmax", "1e-12", "--snapshot-dt", "1e-12", "--out", "{out}"],
+    ["run", "case1", "--ic", "constant:1e7", "--out", "{out}"],
 ], ids=["check", "certify", "run", "sweep", "run-ic-file", "run-ic-fractional-j", "run-ic-negative-j",
         "run-ic-empty-value", "sweep-snapshot-dt", "certify-kmax-inf", "certify-kmax-1e200", "check-huge",
         "certify-huge", "sweep-huge", "run-atol-inf", "sweep-rtol-inf", "run-tmax-inf",
-        "run-tiny-horizon"])
+        "run-tiny-horizon", "run-above-blowup-threshold"])
 def test_bad_input_exits_one_with_an_error_line(capsys, tmp_path, argv):
     # huge.json has condition sides beyond the double range.
     paths = {"missing": tmp_path / "nope.json", "out": tmp_path / "out",

@@ -22,7 +22,7 @@ from sktspec.integrate import (
     run,
     save_run,
 )
-from sktspec.lyapunov import LyapunovCert, eval_H, eval_L, find_certificate
+from sktspec.lyapunov import LyapunovCert, eval_H, find_certificate, level_excess
 from sktspec.model import PRESETS, coexistence_steady_state, params_from_dict, preset
 from sktspec.reference import fd_reference
 from sktspec.spectral import SpectralState, synthesize
@@ -461,25 +461,40 @@ def test_nine_cell_batch_equals_batches_of_one(name, tmp_path):
         assert_same_run(result, run(p, config, ic_u, ic_v), tmp_path / str(i))
 
 
-def test_members_leave_a_mixed_batch_independently(case1, tmp_path):
-    # A Gaussian that runs to t_max, a constant at the coexistence state that
-    # settles after two snapshots, and a huge constant that exceeds the sup
-    # threshold: they leave at different rounds by different outcomes.
-    config = RunConfig(n=4, t_max=3.0)
-    u_star, v_star = coexistence_steady_state(case1)
-    ics = [(SWEEP_SHAPES["C"], SWEEP_SHAPES["A"]),
-           ({"type": "constant", "value": u_star}, {"type": "constant", "value": v_star}),
-           ({"type": "constant", "value": 1e7}, {"type": "constant", "value": 1e7})]
-    batch = Batch(case1, config)
+def test_members_leave_a_mixed_batch_independently(tmp_path):
+    # Under mutual amplification, the constant 1.0 exceeds the sup threshold
+    # at t ~ 0.41, the fixed point 0.0 settles after two snapshots, and the
+    # constant 0.01 grows too slowly to blow up before t_max: they leave at
+    # different rounds by different outcomes.
+    p = params_from_dict(DIVERGENT)
+    config = RunConfig(n=2, t_max=3.0)
+    ics = [({"type": "constant", "value": c}, {"type": "constant", "value": c})
+           for c in (1.0, 0.0, 0.01)]
+    batch = Batch(p, config)
     for ic_u, ic_v in ics:
         batch.add(ic_u, ic_v)
     with np.errstate(over="ignore", invalid="ignore"):
         together = batch.integrate()
-        alone = [run(case1, config, ic_u, ic_v) for ic_u, ic_v in ics]
-    assert [r.outcome for r in together] == ["t_max_reached", "steady_state", "blow_up"]
+        alone = [run(p, config, ic_u, ic_v) for ic_u, ic_v in ics]
+    assert [(r.outcome, r.reason) for r in together] == [
+        ("blow_up", "sup_threshold"), ("steady_state", None), ("t_max_reached", None)]
     assert len({r.n_steps + r.steps_rejected for r in together}) == 3
     for i, (got, want) in enumerate(zip(together, alone)):
         assert_same_run(got, want, tmp_path / str(i))
+
+
+def test_add_refuses_initial_fields_above_the_blowup_threshold(case1, tmp_path):
+    # A run that takes no step has not blown up: set-up makes the blow-up
+    # test, raises, and leaves the batch as it was.
+    batch = Batch(case1, RunConfig(n=4, t_max=3.0))
+    batch.add(SWEEP_SHAPES["C"], SWEEP_SHAPES["A"])
+    (member,) = batch.members
+    huge = {"type": "constant", "value": 1e7}
+    with pytest.raises(ValueError, match=r"initial fields reach sup .* above blowup_threshold 1000000\.0"):
+        batch.add(huge, huge)
+    assert batch.members == [member] and len(batch._starts) == 1
+    (result,) = batch.integrate()
+    assert_same_run(result, run(case1, batch.config, SWEEP_SHAPES["C"], SWEEP_SHAPES["A"]), tmp_path)
 
 
 def test_step_underflow_ends_members_of_a_mixed_batch(tmp_path):
@@ -651,6 +666,20 @@ def test_t_max_within_reach_of_the_last_grid_time_adds_no_snapshot(case1):
                  SWEEP_SHAPES["C"], SWEEP_SHAPES["A"])
     assert (result.outcome, result.n_steps) == ("t_max_reached", 1)
     assert [rec.t for rec in result.timeseries] == [0.0, 1.5e-12]
+    # The grid time 3 * snapshot_dt = 1.0000000001 lies beyond the reach of
+    # t_max = 1: the run ends at t_max, not past it.
+    result = run(case1, RunConfig(n=2, t_max=1.0, snapshot_dt=(1 / 3) * (1 + 1e-10)),
+                 SWEEP_SHAPES["C"], SWEEP_SHAPES["A"])
+    assert result.outcome == "t_max_reached"
+    assert result.final_state.t == 1.0
+    assert result.timeseries[-1].t == 1.0
+    # 3 * 0.1 = 0.30000000000000004 lies within reach of t_max = 0.3, so the
+    # run ends at that grid time and keeps its bits.
+    result = run(case1, RunConfig(n=2, t_max=0.3, snapshot_dt=0.1),
+                 SWEEP_SHAPES["C"], SWEEP_SHAPES["A"])
+    assert result.outcome == "t_max_reached"
+    assert result.final_state.t == 0.30000000000000004
+    assert [rec.t for rec in result.timeseries] == [i * 0.1 for i in range(4)]
 
 
 def test_snapshot_schedule_is_computed_on_demand(case1):
@@ -694,7 +723,7 @@ def test_diagnostics_reference_values(case1):
 
 @pytest.mark.parametrize("name", ["case1", "case2"])
 def test_diagnostics_L_value_is_eval_L(name, rng):
-    # diagnostics evaluates H once for max_H and L; eval_L gives the same bits.
+    # diagnostics evaluates H once for max_H and L; level_excess of H gives the same bits.
     p = preset(name)
     cert = find_certificate(p)
     n = 6
@@ -708,7 +737,7 @@ def test_diagnostics_L_value_is_eval_L(name, rng):
         level = float(np.median(eval_H(cert, u, v).H))
         rec = diagnostics(state, asm.rhs(state), cert, level)
         assert rec.L_value > 0.0
-        assert rec.L_value == eval_L(cert, u, v, level, (np.pi / res) ** 2)
+        assert rec.L_value == level_excess(eval_H(cert, u, v).H, level, (np.pi / res) ** 2)
         assert rec.max_H == float(np.max(eval_H(cert, u, v).H))
 
 

@@ -14,8 +14,8 @@ from sktspec.lyapunov import (
     check_reaction_sign,
     discriminants,
     eval_H,
-    eval_L,
     find_certificate,
+    level_excess,
     phi_coefficients,
     window_bounds,
 )
@@ -370,20 +370,14 @@ def test_reaction_sign_matches_a_fresh_draw(case1, case2):
 
 
 def test_eval_L_examples():
+    # L = level_excess of H over the fields; H is 0 at u = v = 0 and 3 at u = v = 1.
     cert = LyapunovCert(lam=2.0, mu=2.0, K=2.0)
     grid = np.ones((8, 8))
     cell = np.pi**2 / 64
-    assert eval_L(cert, 0 * grid, 0 * grid, 1.0, cell) == 0.0
-    assert eval_L(cert, grid, grid, 1.0, cell) == pytest.approx(2 * np.pi**2, rel=1e-12)
-    assert eval_L(cert, 0 * grid, 0 * grid, -1.0, cell) == pytest.approx(np.pi**2 / 2, rel=1e-12)
-
-
-def test_eval_L_shape_and_area_guards():
-    cert = LyapunovCert(lam=2.0, mu=2.0, K=2.0)
-    with pytest.raises(ValueError, match="shape"):
-        eval_L(cert, np.ones((4, 4)), np.ones((5, 5)), 0.0, 1.0)
-    with pytest.raises(ValueError, match="cell_area"):
-        eval_L(cert, np.ones((4, 4)), np.ones((4, 4)), 0.0, 0.0)
+    H_zero = eval_H(cert, 0 * grid, 0 * grid).H
+    assert level_excess(H_zero, 1.0, cell) == 0.0
+    assert level_excess(eval_H(cert, grid, grid).H, 1.0, cell) == pytest.approx(2 * np.pi**2, rel=1e-12)
+    assert level_excess(H_zero, -1.0, cell) == pytest.approx(np.pi**2 / 2, rel=1e-12)
 
 
 @given(st.floats(-2, 6), st.floats(0, 4))
@@ -393,8 +387,9 @@ def test_eval_L_nonincreasing_in_level(c_lo, gap):
     u = rng.uniform(0, 2, size=(6, 6))
     v = rng.uniform(0, 2, size=(6, 6))
     cell = np.pi**2 / 36
-    hi = eval_L(cert, u, v, c_lo, cell)
-    lo = eval_L(cert, u, v, c_lo + gap, cell)
+    H = eval_H(cert, u, v).H
+    hi = level_excess(H, c_lo, cell)
+    lo = level_excess(H, c_lo + gap, cell)
     assert lo <= hi + 1e-15
     assert lo >= 0.0 and hi >= 0.0
 
