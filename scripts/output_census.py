@@ -1,11 +1,12 @@
 """Census of what a fixed set of sktspec commands writes, to show whether outputs kept their bytes.
 
 Runs the command line of the sktspec under --src, in process, on a fixed
-set: both sweeps, the case2 Gaussian run at n = 8, 16 and 32, five edge-case
+set: both sweeps, the case2 Gaussian run at n = 8, 16 and 32, seven edge-case
 runs (a large constant, an ill-posed set, a short run whose snapshot grid
 stops short of t_max, one whose grid misses t_max by rounding, a
-tight-tolerance run at n = 12), and check and certify on both presets and
-on the ill-posed set.  Prints one JSON object:
+tight-tolerance run at n = 12, and stiff kinetics with and without a
+coexistence state), and check and certify on both presets and on the
+ill-posed set.  Prints one JSON object:
 the SHA-256 of every file the commands write, each run's outcome, reason,
 final time and counters, and each command's exit code and the SHA-256 of
 its stdout, with the output directory masked as <out>.
@@ -39,6 +40,15 @@ GAUSSIAN = "gaussian:1.55,1.6,0.5,0.5,0.2"
 # coexistence state, so the problem is ill-posed there.
 ILL_POSED = dict(alpha11=0.1, alpha12=0.1, alpha21=0.1, alpha22=0.1, b11=1.9, b22=1.9)
 ILL_POSED_FILE = "ill_posed.json"
+# case1 with c2 = 1e14: a reaction time scale far below every other one.
+STIFF = dict(c2=1e14)
+STIFF_FILE = "stiff.json"
+# The same with a2 = -1, which leaves no coexistence state.
+STIFF_NO_COEXISTENCE = dict(c2=1e14, a2=-1.0)
+STIFF_NO_COEXISTENCE_FILE = "stiff_no_coexistence.json"
+# The parameter files the commands read from <out>, each case1 with its overrides.
+PARAM_FILES = {ILL_POSED_FILE: ILL_POSED, STIFF_FILE: STIFF,
+               STIFF_NO_COEXISTENCE_FILE: STIFF_NO_COEXISTENCE}
 
 # Each command's argv; run and sweep write to <out>/<name>.
 COMMANDS = {
@@ -56,6 +66,8 @@ COMMANDS = {
                                "--ic", "gaussian:1.5,1.5,0.5,0.5,0.2"],
     "run-case1-tight": ["run", "case1", "--n", "12", "--rtol", "1e-9", "--tmax", "3",
                         "--ic", "cosine:0.5,0.3,2,1"],
+    "run-stiff": ["run", STIFF_FILE, "--ic", "cosine:0.5,0.2,1,1"],
+    "run-stiff-no-coexistence": ["run", STIFF_NO_COEXISTENCE_FILE, "--ic", "cosine:0.5,0.2,1,1"],
     **{f"{command}-{source}": [command, source if source != "ill-posed" else ILL_POSED_FILE]
        for command in ("check", "certify") for source in ("case1", "case2", "ill-posed")},
 }
@@ -74,10 +86,11 @@ def take_census(out: Path, names) -> dict:
     from sktspec.cli import main
     from sktspec.model import PRESETS
 
-    (out / ILL_POSED_FILE).write_text(json.dumps(dict(PRESETS["case1"], **ILL_POSED)))
+    for file_name, overrides in PARAM_FILES.items():
+        (out / file_name).write_text(json.dumps(dict(PRESETS["case1"], **overrides)))
     census = {"commands": {}, "files": {}, "runs": {}}
     for name in names:
-        argv = [str(out / a) if a == ILL_POSED_FILE else a for a in COMMANDS[name]]
+        argv = [str(out / a) if a in PARAM_FILES else a for a in COMMANDS[name]]
         if argv[0] in ("run", "sweep"):
             argv += ["--out", str(out / name)]
         stdout = io.StringIO()

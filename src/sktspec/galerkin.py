@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import ModelParams, flux_coeffs, reactions
+from .model import ModelParams, coexistence_steady_state, flux_coeffs, reactions
 from .spectral import (
     Basis,
     SpectralState,
@@ -53,14 +53,22 @@ class RhsAssembler:
     The state splits into its mean (mode (0, 0)) and a zero-mean deviation.
     The mean gives the reactions pi*(f, g)(u_bar, v_bar) on mode (0, 0) and a
     2x2 linear block per mode, -(j^2 + k^2) A + J, with A the cross-diffusion
-    matrix and J the reaction Jacobian at the mean (rhs_flat returns them
-    beside the derivative; the time stepper integrates these blocks
-    exactly).  The part quadratic in the deviation is synthesized on the
+    matrix and J the reaction Jacobian at the mean (derivative and rhs_flat
+    return them beside the derivative; the time stepper integrates these
+    blocks exactly).  The part quadratic in the deviation is synthesized on the
     midpoint grid of R = floor(3n/2) + 1 points per axis, formed pointwise,
     and projected back.  Its integrands are trigonometric of degree at most 3n < 2R per
     axis, so the midpoint rule integrates them exactly (the 3/2 rule).  A
     homogeneous state has a zero deviation and so gets exact zeros off the
     mean mode.
+
+    The reference state y* is pi*(u*, v*) on mode (0, 0), with (u*, v*) the
+    coexistence state; mean_ref holds its two coefficients, shape (2, 1) to
+    broadcast over members, or None where the parameters have no
+    coexistence state (y* = 0).  When y* exists, the block of mode (0, 0) is
+    J, so that a Lawson step of y - y* sees no nonlinear part at y*; when it
+    does not, that block is zero.  derivative reads states y, and rhs_flat,
+    the time stepper's call, reads deviations y - y* (relative makes them).
     """
 
     def __init__(self, params: ModelParams, n: int):
@@ -79,27 +87,34 @@ class RhsAssembler:
         self._alpha = np.array([[p.alpha11, p.alpha12], [p.alpha21, p.alpha22]]).reshape(2, 2, 1, 1, 1)
         self._cross, self._self_rate, self._other_rate = np.array(
             [[p.b11, p.b22], [p.b1, p.c2], [p.c1, p.b2]]).reshape(3, 2, 1, 1, 1)
+        star = coexistence_steady_state(p)
+        self.mean_ref = None if star is None else np.pi * np.array(star).reshape(2, 1)
+        # The same two numbers as Python floats, the shift rhs_flat passes.
+        self._shift = (0.0, 0.0) if star is None else (np.pi * star[0], np.pi * star[1])
 
     @classmethod
     def for_order(cls, params: ModelParams, n: int) -> "RhsAssembler":
         return cls(params, n)
 
-    def _mean_terms(self, mu: np.ndarray):
+    def _mean_terms(self, mu: np.ndarray, shift):
         """The linear blocks and the mean-mode reactions of a batch at its means.
 
-        mu has shape (2, B, n+1, n+1).  Returns L of shape (2, 2, B, n+1, n+1),
-        where L[:, :, b, j, k] is the block -(j^2 + k^2) A + J of member b at
-        its (u_bar, v_bar), with A the cross-diffusion matrix and J the
-        reaction Jacobian, so that the linear part of the derivative of
-        species r is L[r, 0] mu1 + L[r, 1] mu2; the block of mode (0, 0) is
-        zero.  Also returns pi*(f, g)(u_bar, v_bar), shape (2, B).  The
-        scalars are formed per member in Python floats: on one member that
-        costs less than numpy scalars.
+        mu has shape (2, B, n+1, n+1), and member b's means (u_bar, v_bar)
+        are (mu[:, b, 0, 0] + shift) / pi.  Returns L of
+        shape (2, 2, B, n+1, n+1), where L[:, :, b, j, k] is the block
+        -(j^2 + k^2) A + J of member b at its (u_bar, v_bar), with A the
+        cross-diffusion matrix and J the reaction Jacobian, so that the
+        linear part of the derivative of species r is L[r, 0] mu1 + L[r, 1] mu2;
+        the block of mode (0, 0) is J, or zero where there is no y*.  Also
+        returns pi*(f, g)(u_bar, v_bar), shape (2, B).  The scalars, the
+        shift included, are formed per member in Python floats: on one
+        member that costs less than numpy scalars.
         """
         p = self.params
+        u_ref, v_ref = shift
         rows = []
         for u_mode, v_mode in zip(*mu[:, :, 0, 0].tolist()):
-            u, v = u_mode / np.pi, v_mode / np.pi
+            u, v = (u_mode + u_ref) / np.pi, (v_mode + v_ref) / np.pi
             fc = flux_coeffs(p, u, v)
             f, g = reactions(p, u, v)
             rows.append((fc.Pu, fc.Pv, fc.Qu, fc.Qv,
@@ -110,21 +125,37 @@ class RhsAssembler:
         A = terms[:4].reshape(2, 2, -1, 1, 1)
         J = terms[4:8].reshape(2, 2, -1, 1, 1)
         L = J - A * self._eig
-        L[..., 0, 0] = 0.0
+        if self.mean_ref is None:
+            L[..., 0, 0] = 0.0
         return L, terms[8:]
 
-    # perfbench/spans.py wraps this method by its name, so the name stays.
-    def rhs_flat(self, y: np.ndarray):
+    def relative(self, y: np.ndarray) -> np.ndarray:
+        """A new array holding y - y*: the input rhs_flat reads for the state y."""
+        z = y.copy()
+        if self.mean_ref is not None:
+            z[:, :, 0, 0] -= self.mean_ref
+        return z
+
+    # perfbench/spans.py wraps this method by its name and calls the wrapper
+    # as wrapper(assembler, z), so the name and the one-argument call stay.
+    def rhs_flat(self, z: np.ndarray):
+        """derivative at the states z + y* of a batch of deviations z = relative(y)."""
+        return self.derivative(z, self._shift)
+
+    def derivative(self, y: np.ndarray, shift=(0.0, 0.0)):
         """Derivative F and linear blocks L of a species-leading batch y, shape (2, B, n+1, n+1).
 
-        F has the shape of y, and each member's F is bit for bit the one it
-        gets in a batch of one.  L, shape (2, 2, B, n+1, n+1), holds the
-        blocks at each member's mean (see _mean_terms); the time stepper
-        takes them as the next step's frozen linear part.  y is not changed.
+        Member b's means are (y[:, b, 0, 0] + shift) / pi: y holds the
+        states themselves by default.  F has the shape of y, and each
+        member's F is bit for bit the one it gets in a batch of one.  L, shape
+        (2, 2, B, n+1, n+1), holds the blocks at each member's mean (see
+        _mean_terms); the time stepper takes them as the next step's frozen
+        linear part.  The linear part of F acts on the zero-mean deviation
+        only, so the shift only places the means.  y is not changed.
         """
         C, D = self._C, self._D
         mu = y.copy()
-        L, mean_reactions = self._mean_terms(mu)
+        L, mean_reactions = self._mean_terms(mu, shift)
         mu[:, :, 0, 0] = 0.0
 
         # Linear part at the mean.
@@ -147,10 +178,10 @@ class RhsAssembler:
         return out, L
 
     def rhs(self, state: SpectralState):
-        """(dmu1, dmu2) of one state: rhs_flat on a batch of one."""
+        """(dmu1, dmu2) of one state: derivative on a batch of one."""
         if state.n != self.n:
             raise ValueError(f"state order {state.n} does not match assembler order {self.n}")
-        F, _ = self.rhs_flat(np.stack([state.mu1, state.mu2])[:, None])
+        F, _ = self.derivative(np.stack([state.mu1, state.mu2])[:, None])
         return F[0, 0], F[1, 0]
 
 

@@ -1,18 +1,26 @@
 """Adaptive time integration and run orchestration.
 
-The coefficient ODE system y' = F(y) is split as y' = L y + N(y), with L the
-per-mode 2x2 linear blocks that RhsAssembler.rhs_flat returns beside F,
-formed at the spatial mean of each step's start (zero on the mean mode) and
-frozen for the step, and N = F - L y.  Each step is the integrating-factor ("Lawson") form of the
-embedded Dormand-Prince 5(4) pair: every stage carries the exact block
-exponentials exp(theta h L), so the stiff diffusion of high modes sets no
-stability limit and the step is chosen by accuracy alone.  It keeps six rhs
-calls per attempt with FSAL stage reuse and a weighted max-norm error test
-err = max |e_i| / (atol + rtol*max(|y_i|, |y_new_i|)) <= 1.  A homogeneous
-state stays homogeneous exactly.  The step size follows the PI controller of
-DOPRI5 (Hairer, Norsett & Wanner, Solving ODEs I, II.4), with the exponents
-0.17 on err and 0.04 on the previous err: this stepper has no stability limit
-for Gustafsson's damping gains to hold it at.
+The coefficient ODE system y' = F(y) is stepped as z' = L z + N(z) for the
+deviation z = y - y* from the assembler's reference state y*, the
+coexistence state pi*(u*, v*) on mode (0, 0) (y* = 0 where there is none).
+L holds the per-mode 2x2 linear blocks that RhsAssembler.rhs_flat returns
+beside F, formed at the spatial mean of each step's start and frozen for
+the step; on the mean mode it is the reaction Jacobian J where y* exists
+and zero where it does not.  N = F - L z, which vanishes at y*.  Each step
+is the integrating-factor ("Lawson") form of the embedded Dormand-Prince
+5(4) pair: every stage carries the exact block exponentials exp(theta h L),
+so neither the stiff diffusion of high modes nor the mean mode's kinetics
+near y* sets a stability limit, and the step is chosen by accuracy alone.
+A Lawson step is exact only where N = 0, and the shift puts that at the
+fixed point the runs settle to (Hochbruck & Ostermann, Acta Numerica 19,
+2010).  It keeps six rhs calls per attempt with FSAL stage reuse and a
+weighted max-norm error test
+err = max |e_i| / (atol + rtol*max(|y_i|, |y_new_i|)) <= 1, scaled by the
+states y, not by z.  A homogeneous state stays homogeneous exactly.  The
+step size follows the PI controller of DOPRI5 (Hairer, Norsett & Wanner,
+Solving ODEs I, II.4), with the exponents 0.17 on err and 0.04 on the
+previous err: this stepper has no stability limit for Gustafsson's damping
+gains to hold it at.
 
 A Batch integrates runs that share parameters and a RunConfig in lockstep.
 Each round makes one attempt for every running member, each with its own
@@ -183,30 +191,34 @@ def _block_exp(L: np.ndarray, t) -> np.ndarray:
 
 
 def _attempt(assembler: RhsAssembler, L: np.ndarray, y: np.ndarray, f: np.ndarray, h: np.ndarray):
-    """One Lawson trial step of size h[b] on y' = L y + N(y) for every member b.
+    """One Lawson trial step of size h[b] on z' = L z + N(z), z = y - y*, for every member b.
 
     Members lie on axis 1 of y and of f = F(y), shape (2, B, w, w), and on
-    axis 2 of L, shape (2, 2, B, w, w).  Returns (y_new, error vector,
-    F(y_new), the linear blocks of y_new): the first three shaped like y, the
-    last like L, and the last two serve the next step (FSAL).
+    axis 2 of L, shape (2, 2, B, w, w).  The stages are deviations Z from
+    the assembler's reference state y*, which is what rhs_flat reads.
+    Returns (y_new, error vector, F(y_new), the linear blocks of y_new): the
+    first three shaped like y, the last like L, and the last two serve the
+    next step (FSAL).
     """
     E = _block_exp(L, np.multiply.outer(_THETA, h)[:, :, None, None])
     W = h[:, None, None] * _ROW_WEIGHT
     W[:, :, 0] = _ROW_WEIGHT[:, 0]
     V = np.empty((8,) + y.shape)
-    V[0] = y
-    V[1] = f - block_product(L, y)
+    V[0] = assembler.relative(y)
+    V[1] = f - block_product(L, V[0])
 
     def row(i, cols):
         return np.einsum("rsjbxy,bj,jsbxy->rbxy",
                          E[:, :, _ROW_THETA[i, cols]], W[:, i, cols], V[cols])
 
     for i in range(1, 7):
-        Y = row(i, slice(0, i + 1))
-        f, L_new = assembler.rhs_flat(Y)
-        V[i + 1] = f - block_product(L, Y)
-    # c_6 = 1 and row 6 holds the 5th-order weights, so Y_6 is the new state.
-    return Y, row(7, slice(1, 8)), f, L_new
+        Z = row(i, slice(0, i + 1))
+        f, L_new = assembler.rhs_flat(Z)
+        V[i + 1] = f - block_product(L, Z)
+    # c_6 = 1 and row 6 holds the 5th-order weights, so Z_6 + y* is the new state.
+    if assembler.mean_ref is not None:
+        Z[:, :, 0, 0] += assembler.mean_ref
+    return Z, row(7, slice(1, 8)), f, L_new
 
 
 def _error_norms(e: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, atol: float) -> list:
@@ -546,7 +558,7 @@ class Batch:
         state, projection = project_initial(ic_u, ic_v, self.config.n)
         y = np.stack([state.mu1, state.mu2])[:, None]
         # F(y) and L, kept current by every step (FSAL); the diagnostics read F too.
-        f, L = self.assembler.rhs_flat(y)
+        f, L = self.assembler.derivative(y)
         member = _Member(self.config, projection)
         member.advance(self, y[:, 0], f[:, 0], _sup_bounds(y)[0])
         if member.result is not None:

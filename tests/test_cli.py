@@ -302,14 +302,17 @@ def strict_json(text):
 
 
 # case1 with c2 = 1e14: the kinetic time scale is below what the stepper
-# resolves, so the attempts overflow and are rejected until the step underflows.
-@pytest.mark.parametrize("argv", [
-    ["run", "--ic", "cosine:0.5,0.2,1,1"],
-    ["sweep", "--n", "2"],
-], ids=lambda argv: argv[0])
-def test_overflowing_steps_keep_stderr_clean(capfd, tmp_path, argv):
+# resolves, so the attempts overflow and are rejected until the step
+# underflows.  The run also takes a2 = -1, which leaves no coexistence state:
+# with one, the stepper integrates the mean mode's kinetics exactly and the
+# run settles.
+@pytest.mark.parametrize("argv, overrides", [
+    (["run", "--ic", "cosine:0.5,0.2,1,1"], dict(c2=1e14, a2=-1.0)),
+    (["sweep", "--n", "2"], dict(c2=1e14)),
+], ids=["run", "sweep"])
+def test_overflowing_steps_keep_stderr_clean(capfd, tmp_path, argv, overrides):
     command, *options = argv
-    path = write_params(tmp_path, "fast.json", c2=1e14)
+    path = write_params(tmp_path, "fast.json", **overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([command, path, *options, "--out", str(tmp_path / "out")])
@@ -317,6 +320,21 @@ def test_overflowing_steps_keep_stderr_clean(capfd, tmp_path, argv):
     assert (code, captured.err) == (3, "")
     if command == "run":
         assert strict_json(captured.out)["reason"] == "step_underflow"
+
+
+def test_stiff_kinetics_about_the_coexistence_state_settle(capfd, tmp_path):
+    # case1 with c2 = 1e14 keeps its coexistence state, about which the
+    # stepper integrates the mean mode's kinetics exactly: the run settles
+    # where an explicit treatment of them underflowed at t = 0.
+    path = write_params(tmp_path, "fast.json", c2=1e14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", path, "--ic", "cosine:0.5,0.2,1,1", "--out", str(tmp_path / "out")])
+    captured = capfd.readouterr()
+    assert (code, captured.err) == (0, "")
+    summary = strict_json(captured.out)
+    assert (summary["outcome"], summary["reason"]) == ("steady_state", None)
+    assert summary["n_steps"] > 0
 
 
 def test_run_reruns_are_byte_identical(capsys, tmp_path):

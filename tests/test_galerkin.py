@@ -100,9 +100,25 @@ def test_rhs_method_unpacks_rhs_flat(case2, rng):
     asm = RhsAssembler.for_order(case2, 3)
     state = random_state(rng, 3)
     d1, d2 = asm.rhs(state)
-    F, L = asm.rhs_flat(np.stack([state.mu1, state.mu2])[:, None])
+    # The means lie within a factor 2 of (u*, v*), so y - y* is exact.
+    F, L = asm.rhs_flat(asm.relative(np.stack([state.mu1, state.mu2])[:, None]))
     assert np.array_equal(np.stack([d1, d2]), F[:, 0])
     assert L.shape == (2, 2, 1, 4, 4)
+
+
+@pytest.mark.parametrize("name", ["case1", "case2"])
+def test_mean_mode_block_is_the_reaction_jacobian(name, rng):
+    # With a coexistence state, the block of mode (0, 0) is J at the mean:
+    # here central differences of the quadratic reactions, exact to roundoff.
+    p = preset(name)
+    asm = RhsAssembler.for_order(p, 3)
+    state = random_state(rng, 3)
+    _, L = asm.derivative(np.stack([state.mu1, state.mu2])[:, None])
+    u, v = state.mu1[0, 0] / np.pi, state.mu2[0, 0] / np.pi
+    eps = 1e-4
+    J = np.stack([(np.array(reactions(p, u + eps, v)) - reactions(p, u - eps, v)) / (2 * eps),
+                  (np.array(reactions(p, u, v + eps)) - reactions(p, u, v - eps)) / (2 * eps)], axis=1)
+    assert np.allclose(L[:, :, 0, 0, 0], J, rtol=1e-9, atol=1e-9)
 
 
 def test_rhs_flat_is_pure(case2):

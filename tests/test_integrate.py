@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from sktspec.cli import SWEEP_SHAPES
-from sktspec.galerkin import RhsAssembler, project_initial
+from sktspec.galerkin import RhsAssembler, block_product, project_initial
 from sktspec.integrate import (
+    _ROW_THETA,
+    _ROW_WEIGHT,
+    _THETA,
     Batch,
     RunConfig,
     _attempt,
@@ -67,7 +70,7 @@ def step(asm, state, dt, rtol, atol, dt_max=math.inf):
     step_underflow.
     """
     y = np.stack([state.mu1, state.mu2])[:, None]
-    f, L = asm.rhs_flat(y)
+    f, L = asm.derivative(y)
     control = _Control(state.t, dt)
     control.begin(dt_max)
     accepted = [False]
@@ -375,33 +378,36 @@ DP_A = [
 DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 
 
-def lawson_dp5_reference(asm, L, y, h):
-    """One Lawson DP5 step, mode by mode: Y_i = e^{c_i hL} y + h sum_j a_ij
-    e^{(c_i - c_j) hL} N_j, new state Y_6, error h sum_j e_j e^{(1 - c_j) hL} N_j."""
+def lawson_dp5_reference(asm, L, y, h, y_star):
+    """One Lawson DP5 step of z = y - y_star, mode by mode: Z_i = e^{c_i hL} z +
+    h sum_j a_ij e^{(c_i - c_j) hL} N_j with N_j = F(Z_j + y_star) - L Z_j, new
+    state Z_6 + y_star, error h sum_j e_j e^{(1 - c_j) hL} N_j."""
     w = y.shape[1]
     modes = [(j, k) for j in range(w) for k in range(w)]
 
-    def nonlinear(Y):
+    def nonlinear(Z):
+        Y = Z + y_star
         F = np.array(asm.rhs(SpectralState(Y[0], Y[1], 0.0)))
-        return F - np.einsum("rsjk,sjk->rjk", L, Y), F
+        return F - np.einsum("rsjk,sjk->rjk", L, Z), F
 
     def factor(theta, j, k):
         return expm_taylor(theta * h * L[:, :, j, k])
 
-    N = [nonlinear(y)[0]]
+    z = y - y_star
+    N = [nonlinear(z)[0]]
     for i in range(1, 7):
-        Y = np.zeros_like(y)
+        Z = np.zeros_like(z)
         for j, k in modes:
-            Y[:, j, k] = factor(DP_C[i], j, k) @ y[:, j, k]
+            Z[:, j, k] = factor(DP_C[i], j, k) @ z[:, j, k]
             for s in range(i):
-                Y[:, j, k] += h * DP_A[i][s] * (factor(DP_C[i] - DP_C[s], j, k) @ N[s][:, j, k])
-        n_i, F = nonlinear(Y)
+                Z[:, j, k] += h * DP_A[i][s] * (factor(DP_C[i] - DP_C[s], j, k) @ N[s][:, j, k])
+        n_i, F = nonlinear(Z)
         N.append(n_i)
-    err = np.zeros_like(y)
+    err = np.zeros_like(z)
     for j, k in modes:
         for s in range(7):
             err[:, j, k] += h * DP_E[s] * (factor(1.0 - DP_C[s], j, k) @ N[s][:, j, k])
-    return Y, err, F
+    return Z + y_star, err, F
 
 
 @pytest.mark.parametrize("h", [0.1, 0.5])
@@ -411,15 +417,67 @@ def test_attempt_matches_plain_lawson_dp5(case2, rng, h):
     n = 2
     asm = RhsAssembler.for_order(case2, n)
     state = constant_state(n, *coexistence_steady_state(case2))
-    y = np.stack([state.mu1, state.mu2])[:, None]  # a batch of one
-    y += 0.05 * rng.normal(size=y.shape)
-    f, L = asm.rhs_flat(y)
-    ref_y, ref_err, ref_f = lawson_dp5_reference(asm, L[:, :, 0], y[:, 0], h)
+    y_star = np.stack([state.mu1, state.mu2])
+    y = y_star[:, None] + 0.05 * rng.normal(size=(2, 1, n + 1, n + 1))  # a batch of one
+    f, L = asm.derivative(y)
+    ref_y, ref_err, ref_f = lawson_dp5_reference(asm, L[:, :, 0], y[:, 0], h, y_star)
     y_new, err, f, L_new = _attempt(asm, L, y, f, np.array([h]))
-    assert np.array_equal(L_new, asm.rhs_flat(y_new)[1])
+    assert np.array_equal(L_new, asm.derivative(y_new)[1])
     for got, want, tol in ((y_new, ref_y, 1e-12), (f, ref_f, 1e-12), (err, ref_err, 1e-6)):
         got, want = got.ravel(), want.ravel()
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["case1", "case2"])
+def test_attempt_from_the_coexistence_state_stays_there(name):
+    # About y* the mean mode's nonlinear part is zero, so the Lawson step is
+    # exact there whatever its size; unshifted, one step of h = 50 moved the
+    # state by 5e-9 of its size and estimated an error of 1e-8.
+    n = 4
+    p = preset(name)
+    asm = RhsAssembler.for_order(p, n)
+    state = constant_state(n, *coexistence_steady_state(p))
+    y = np.stack([state.mu1, state.mu2])[:, None]
+    f, L = asm.derivative(y)
+    y_new, err, _, _ = _attempt(asm, L, y, f, np.array([50.0]))
+    assert np.abs(y_new - y).max() <= 1e-14 * np.abs(y).max()
+    assert np.abs(err).max() <= 1e-14
+
+
+def unshifted_attempt(asm, L, y, f, h):
+    """_attempt's formula without a reference state: the stages are states Y and N = F - L Y."""
+    E = _block_exp(L, np.multiply.outer(_THETA, h)[:, :, None, None])
+    W = h[:, None, None] * _ROW_WEIGHT
+    W[:, :, 0] = _ROW_WEIGHT[:, 0]
+    V = np.empty((8,) + y.shape)
+    V[0] = y
+    V[1] = f - block_product(L, y)
+
+    def row(i, cols):
+        return np.einsum("rsjbxy,bj,jsbxy->rbxy", E[:, :, _ROW_THETA[i, cols]], W[:, i, cols], V[cols])
+
+    for i in range(1, 7):
+        Y = row(i, slice(0, i + 1))
+        f, L_new = asm.derivative(Y)
+        V[i + 1] = f - block_product(L, Y)
+    return Y, row(7, slice(1, 8)), f, L_new
+
+
+def test_attempt_without_a_coexistence_state_is_unshifted(case1, rng):
+    # a2 = -1 leaves case1 no coexistence state: no shift, and the mean
+    # mode's block stays zero.
+    p = replace(case1, a2=-1.0)
+    assert coexistence_steady_state(p) is None
+    n = 3
+    asm = RhsAssembler.for_order(p, n)
+    y = 0.1 * rng.normal(size=(2, 2, n + 1, n + 1))
+    y[:, :, 0, 0] += 0.5 * np.pi
+    f, L = asm.derivative(y)
+    assert asm.mean_ref is None and np.array_equal(asm.relative(y), y)
+    assert not L[:, :, :, 0, 0].any()
+    h = np.array([0.05, 0.2])
+    for got, want in zip(_attempt(asm, L, y, f, h), unshifted_attempt(asm, L, y, f, h)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [4, 8])
