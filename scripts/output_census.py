@@ -1,12 +1,12 @@
 """Census of what a fixed set of sktspec commands writes, to show whether outputs kept their bytes.
 
 Runs the command line of the sktspec under --src, in process, on a fixed
-set: both sweeps, the case2 Gaussian run at n = 8, 16 and 32, seven edge-case
+set: both sweeps, the case2 Gaussian run at n = 8, 16 and 32, eight edge-case
 runs (a large constant, an ill-posed set, a short run whose snapshot grid
 stops short of t_max, one whose grid misses t_max by rounding, a
-tight-tolerance run at n = 12, and stiff kinetics with and without a
-coexistence state), and check and certify on both presets and on the
-ill-posed set.  Prints one JSON object:
+tight-tolerance run at n = 12, stiff kinetics with and without a
+coexistence state, and a run whose v starts at zero), and check and
+certify on both presets and on the ill-posed set.  Prints one JSON object:
 the SHA-256 of every file the commands write, each run's outcome, reason,
 final time and counters, and each command's exit code and the SHA-256 of
 its stdout, with the output directory masked as <out>.
@@ -68,6 +68,7 @@ COMMANDS = {
                         "--ic", "cosine:0.5,0.3,2,1"],
     "run-stiff": ["run", STIFF_FILE, "--ic", "cosine:0.5,0.2,1,1"],
     "run-stiff-no-coexistence": ["run", STIFF_NO_COEXISTENCE_FILE, "--ic", "cosine:0.5,0.2,1,1"],
+    "run-case1-v-zero": ["run", "case1", "--ic", "cosine:0.5,0.2,1,1", "--ic", "constant:0"],
     **{f"{command}-{source}": [command, source if source != "ill-posed" else ILL_POSED_FILE]
        for command in ("check", "certify") for source in ("case1", "case2", "ill-posed")},
 }

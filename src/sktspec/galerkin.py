@@ -15,6 +15,7 @@ reference.build_tensors.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass
 
@@ -63,12 +64,13 @@ class RhsAssembler:
     mean mode.
 
     The reference state y* is pi*(u*, v*) on mode (0, 0), with (u*, v*) the
-    coexistence state; mean_ref holds its two coefficients, shape (2, 1) to
-    broadcast over members, or None where the parameters have no
-    coexistence state (y* = 0).  When y* exists, the block of mode (0, 0) is
-    J, so that a Lawson step of y - y* sees no nonlinear part at y*; when it
-    does not, that block is zero.  derivative reads states y, and rhs_flat,
-    the time stepper's call, reads deviations y - y* (relative makes them).
+    coexistence state; reference holds its two coefficients as Python
+    floats, or None where the parameters have no coexistence state (y* = 0)
+    and on the copy that unshifted makes.  With a reference, the block of
+    mode (0, 0) is J, so that a Lawson step of y - y* sees no nonlinear
+    part at y*; without one, that block is zero.  derivative reads states y,
+    and rhs_flat, the time stepper's call, reads deviations y - y*
+    (relative makes them and absolute undoes them).
     """
 
     def __init__(self, params: ModelParams, n: int):
@@ -88,19 +90,24 @@ class RhsAssembler:
         self._cross, self._self_rate, self._other_rate = np.array(
             [[p.b11, p.b22], [p.b1, p.c2], [p.c1, p.b2]]).reshape(3, 2, 1, 1, 1)
         star = coexistence_steady_state(p)
-        self.mean_ref = None if star is None else np.pi * np.array(star).reshape(2, 1)
-        # The same two numbers as Python floats, the shift rhs_flat passes.
-        self._shift = (0.0, 0.0) if star is None else (np.pi * star[0], np.pi * star[1])
+        self.reference = None if star is None else (np.pi * star[0], np.pi * star[1])
 
     @classmethod
     def for_order(cls, params: ModelParams, n: int) -> "RhsAssembler":
         return cls(params, n)
 
+    def unshifted(self) -> "RhsAssembler":
+        """This assembler without a reference state; it shares the tables."""
+        plain = copy.copy(self)
+        plain.reference = None
+        return plain
+
     def _mean_terms(self, mu: np.ndarray, shift):
         """The linear blocks and the mean-mode reactions of a batch at its means.
 
         mu has shape (2, B, n+1, n+1), and member b's means (u_bar, v_bar)
-        are (mu[:, b, 0, 0] + shift) / pi.  Returns L of
+        are (mu[:, b, 0, 0] + shift) / pi, shift a pair of floats or None for
+        none.  Returns L of
         shape (2, 2, B, n+1, n+1), where L[:, :, b, j, k] is the block
         -(j^2 + k^2) A + J of member b at its (u_bar, v_bar), with A the
         cross-diffusion matrix and J the reaction Jacobian, so that the
@@ -111,7 +118,7 @@ class RhsAssembler:
         member that costs less than numpy scalars.
         """
         p = self.params
-        u_ref, v_ref = shift
+        u_ref, v_ref = shift or (0.0, 0.0)
         rows = []
         for u_mode, v_mode in zip(*mu[:, :, 0, 0].tolist()):
             u, v = (u_mode + u_ref) / np.pi, (v_mode + v_ref) / np.pi
@@ -125,28 +132,36 @@ class RhsAssembler:
         A = terms[:4].reshape(2, 2, -1, 1, 1)
         J = terms[4:8].reshape(2, 2, -1, 1, 1)
         L = J - A * self._eig
-        if self.mean_ref is None:
+        if self.reference is None:
             L[..., 0, 0] = 0.0
         return L, terms[8:]
 
     def relative(self, y: np.ndarray) -> np.ndarray:
         """A new array holding y - y*: the input rhs_flat reads for the state y."""
         z = y.copy()
-        if self.mean_ref is not None:
-            z[:, :, 0, 0] -= self.mean_ref
+        if self.reference is not None:
+            z[0, :, 0, 0] -= self.reference[0]
+            z[1, :, 0, 0] -= self.reference[1]
+        return z
+
+    def absolute(self, z: np.ndarray) -> np.ndarray:
+        """The states z + y* of deviations z, formed in place: relative undone."""
+        if self.reference is not None:
+            z[0, :, 0, 0] += self.reference[0]
+            z[1, :, 0, 0] += self.reference[1]
         return z
 
     # perfbench/spans.py wraps this method by its name and calls the wrapper
     # as wrapper(assembler, z), so the name and the one-argument call stay.
     def rhs_flat(self, z: np.ndarray):
         """derivative at the states z + y* of a batch of deviations z = relative(y)."""
-        return self.derivative(z, self._shift)
+        return self.derivative(z, self.reference)
 
-    def derivative(self, y: np.ndarray, shift=(0.0, 0.0)):
+    def derivative(self, y: np.ndarray, shift=None):
         """Derivative F and linear blocks L of a species-leading batch y, shape (2, B, n+1, n+1).
 
         Member b's means are (y[:, b, 0, 0] + shift) / pi: y holds the
-        states themselves by default.  F has the shape of y, and each
+        states themselves when shift is None.  F has the shape of y, and each
         member's F is bit for bit the one it gets in a batch of one.  L, shape
         (2, 2, B, n+1, n+1), holds the blocks at each member's mean (see
         _mean_terms); the time stepper takes them as the next step's frozen

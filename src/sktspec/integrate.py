@@ -16,7 +16,10 @@ fixed point the runs settle to (Hochbruck & Ostermann, Acta Numerica 19,
 2010).  It keeps six rhs calls per attempt with FSAL stage reuse and a
 weighted max-norm error test
 err = max |e_i| / (atol + rtol*max(|y_i|, |y_new_i|)) <= 1, scaled by the
-states y, not by z.  A homogeneous state stays homogeneous exactly.  The
+states y, not by z.  A homogeneous state stays homogeneous exactly, and so
+does a species that is identically zero: such a run steps unshifted, with a
+zero mean-mode block (RhsAssembler.unshifted), since y* lies off the set
+where that species vanishes and N would not be zero on it.  The
 step size follows the PI controller of DOPRI5 (Hairer, Norsett & Wanner,
 Solving ODEs I, II.4), with the exponents 0.17 on err and 0.04 on the
 previous err: this stepper has no stability limit for Gustafsson's damping
@@ -216,9 +219,7 @@ def _attempt(assembler: RhsAssembler, L: np.ndarray, y: np.ndarray, f: np.ndarra
         f, L_new = assembler.rhs_flat(Z)
         V[i + 1] = f - block_product(L, Z)
     # c_6 = 1 and row 6 holds the 5th-order weights, so Z_6 + y* is the new state.
-    if assembler.mean_ref is not None:
-        Z[:, :, 0, 0] += assembler.mean_ref
-    return Z, row(7, slice(1, 8)), f, L_new
+    return assembler.absolute(Z), row(7, slice(1, 8)), f, L_new
 
 
 def _error_norms(e: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, atol: float) -> list:
@@ -539,8 +540,10 @@ class Batch:
         if self.cert is not None:
             self.cert.check_finite()
         self.assembler = RhsAssembler.for_order(params, config.n)
+        self._unshifted = self.assembler if self.assembler.reference is None else self.assembler.unshifted()
         self.members: list = []
-        # Each member's (y, F(y), L) at the start, with a member axis of length 1.
+        # Each member's assembler and its (y, F(y), L) at the start, with a
+        # member axis of length 1.
         self._starts: list = []
 
     # add and integrate silence numpy's floating-point warnings: an overflow
@@ -557,8 +560,10 @@ class Batch:
         """
         state, projection = project_initial(ic_u, ic_v, self.config.n)
         y = np.stack([state.mu1, state.mu2])[:, None]
+        # A species that is identically zero stays so only in unshifted steps.
+        assembler = self.assembler if y[0].any() and y[1].any() else self._unshifted
         # F(y) and L, kept current by every step (FSAL); the diagnostics read F too.
-        f, L = self.assembler.derivative(y)
+        f, L = assembler.derivative(y)
         member = _Member(self.config, projection)
         member.advance(self, y[:, 0], f[:, 0], _sup_bounds(y)[0])
         if member.result is not None:
@@ -566,18 +571,28 @@ class Batch:
                 f"initial fields reach sup |u|, |v| = {_field_sup(self.config, y[:, 0], 0.0)}, "
                 f"above blowup_threshold {self.config.blowup_threshold}")
         self.members.append(member)
-        self._starts.append((y, f, L))
+        self._starts.append((assembler, y, f, L))
 
     @np.errstate(over="ignore", invalid="ignore")
     def integrate(self) -> list:
-        """Step every member to its outcome; returns the results in the order of add."""
-        pending = [(m, start) for m, start in zip(self.members, self._starts) if m.result is None]
+        """Step every member to its outcome; returns the results in the order of add.
+
+        The members that share an assembler (see add) step in lockstep, one
+        such group after the other.
+        """
+        for assembler in dict.fromkeys(start[0] for start in self._starts):
+            self._step_group(assembler)
+        return [m.result for m in self.members]
+
+    def _step_group(self, assembler: RhsAssembler) -> None:
+        pending = [(m, start[1:]) for m, start in zip(self.members, self._starts)
+                   if m.result is None and start[0] is assembler]
         live = [m for m, _ in pending]
         if live:
             ys, fs, Ls = zip(*(start for _, start in pending))
             y, f, L = np.concatenate(ys, axis=1), np.concatenate(fs, axis=1), np.concatenate(Ls, axis=2)
         while live:
-            y, f, L, accepted = _round(self.assembler, y, f, L, live,
+            y, f, L, accepted = _round(assembler, y, f, L, live,
                                        self.config.rtol, self.config.atol)
             bounds = _sup_bounds(y)
             for b, (m, ok) in enumerate(zip(live, accepted)):
@@ -590,7 +605,6 @@ class Batch:
                 keep = [b for b, m in enumerate(live) if m.result is None]
                 live = [live[b] for b in keep]
                 y, f, L = y[:, keep], f[:, keep], L[:, :, keep]
-        return [m.result for m in self.members]
 
 
 def run(params: ModelParams, config: RunConfig, ic_u, ic_v) -> RunResult:

@@ -121,6 +121,22 @@ def test_mean_mode_block_is_the_reaction_jacobian(name, rng):
     assert np.allclose(L[:, :, 0, 0, 0], J, rtol=1e-9, atol=1e-9)
 
 
+def test_unshifted_copy_shares_the_tables_and_zeroes_the_mean_block(case1, rng):
+    asm = RhsAssembler.for_order(case1, 3)
+    plain = asm.unshifted()
+    assert asm.reference is not None and plain.reference is None
+    assert plain._C is asm._C and plain._eig is asm._eig
+    state = random_state(rng, 3)
+    y = np.stack([state.mu1, state.mu2])[:, None]
+    F, L = asm.derivative(y)
+    F_plain, L_plain = plain.rhs_flat(y)
+    assert np.array_equal(F_plain, F)
+    assert not L_plain[:, :, :, 0, 0].any() and L[:, :, :, 0, 0].all()
+    assert np.array_equal(L_plain[..., 1:], L[..., 1:])
+    # The means lie within a factor 2 of (u*, v*), so y - y* is exact.
+    assert np.array_equal(asm.absolute(asm.relative(y)), y)
+
+
 def test_rhs_flat_is_pure(case2):
     # rhs_flat returns its blocks: it sets no attribute and leaves y as it was.
     rng = np.random.default_rng(7)

@@ -463,17 +463,21 @@ def unshifted_attempt(asm, L, y, f, h):
     return Y, row(7, slice(1, 8)), f, L_new
 
 
-def test_attempt_without_a_coexistence_state_is_unshifted(case1, rng):
-    # a2 = -1 leaves case1 no coexistence state: no shift, and the mean
-    # mode's block stays zero.
-    p = replace(case1, a2=-1.0)
-    assert coexistence_steady_state(p) is None
+@pytest.mark.parametrize("unshifted", [False, True])
+def test_attempt_without_a_reference_state_is_unshifted(case1, rng, unshifted):
+    # a2 = -1 leaves case1 no coexistence state, and unshifted() drops it:
+    # either way no shift, and the mean mode's block stays zero.
+    if unshifted:
+        asm = RhsAssembler.for_order(case1, 3).unshifted()
+    else:
+        p = replace(case1, a2=-1.0)
+        assert coexistence_steady_state(p) is None
+        asm = RhsAssembler.for_order(p, 3)
     n = 3
-    asm = RhsAssembler.for_order(p, n)
     y = 0.1 * rng.normal(size=(2, 2, n + 1, n + 1))
     y[:, :, 0, 0] += 0.5 * np.pi
     f, L = asm.derivative(y)
-    assert asm.mean_ref is None and np.array_equal(asm.relative(y), y)
+    assert asm.reference is None and np.array_equal(asm.relative(y), y)
     assert not L[:, :, :, 0, 0].any()
     h = np.array([0.05, 0.2])
     for got, want in zip(_attempt(asm, L, y, f, h), unshifted_attempt(asm, L, y, f, h)):
@@ -539,6 +543,44 @@ def test_members_leave_a_mixed_batch_independently(tmp_path):
     assert len({r.n_steps + r.steps_rejected for r in together}) == 3
     for i, (got, want) in enumerate(zip(together, alone)):
         assert_same_run(got, want, tmp_path / str(i))
+
+
+COSINE = {"type": "cosine", "offset": 0.5, "terms": [{"j": 1, "k": 1, "amp": 0.2}]}
+ZERO = {"type": "constant", "value": 0.0}
+
+
+@pytest.mark.parametrize("zero_u, steps, t_end", [(False, 37, 16.0), (True, 98, 53.0)])
+def test_a_species_that_starts_at_zero_stays_there(case1, zero_u, steps, t_end):
+    # {v = 0} is invariant, but y* lies off it, and stepped about y* the
+    # mean of v took N_v = lambda pi v* and grew toward coexistence
+    # (t = 55, 286 steps, v up to 0.64).  Stepped unshifted, the run keeps
+    # the zero species at 0 bit for bit and settles at the semi-trivial
+    # state: the work counts and end times are those of the stepper before
+    # the shift, whose snapshots this run matches byte for byte.
+    ic_u, ic_v = (ZERO, COSINE) if zero_u else (COSINE, ZERO)
+    result = run(case1, RunConfig(n=8), ic_u, ic_v)
+    assert (result.outcome, result.n_steps, result.steps_rejected, result.final_state.t) == (
+        "steady_state", steps, 0, t_end)
+    zero, alive = (1, 0) if not zero_u else (0, 1)
+    for state in result.snapshots + [result.final_state]:
+        pair = (state.mu1, state.mu2)
+        assert not pair[zero].any()
+    level = case1.a1 / case1.b1 if not zero_u else case1.a2 / case1.c2
+    assert abs((result.final_state.mu1, result.final_state.mu2)[alive][0, 0] / np.pi - level) < 1e-7
+
+
+def test_a_batch_steps_zero_species_runs_apart(case1, tmp_path):
+    # Runs with a species at zero step unshifted in their own lockstep
+    # group; each run is still bit for bit its batch of one.
+    config = RunConfig(n=4)
+    ics = [(COSINE, ZERO), (SWEEP_SHAPES["C"], SWEEP_SHAPES["A"]), (ZERO, COSINE)]
+    batch = Batch(case1, config)
+    for ic_u, ic_v in ics:
+        batch.add(ic_u, ic_v)
+    assert [start[0] for start in batch._starts] == [batch._unshifted, batch.assembler, batch._unshifted]
+    together = batch.integrate()
+    for i, ((ic_u, ic_v), got) in enumerate(zip(ics, together)):
+        assert_same_run(got, run(case1, config, ic_u, ic_v), tmp_path / str(i))
 
 
 def test_add_refuses_initial_fields_above_the_blowup_threshold(case1, tmp_path):
