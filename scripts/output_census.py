@@ -1,12 +1,13 @@
 """Census of what a fixed set of sktspec commands writes, to show whether outputs kept their bytes.
 
 Runs the command line of the sktspec under --src, in process, on a fixed
-set: both sweeps, the case2 Gaussian run at n = 8, 16 and 32, eight edge-case
+set: both sweeps, the case2 Gaussian run at n = 8, 16 and 32, ten edge-case
 runs (a large constant, an ill-posed set, a short run whose snapshot grid
 stops short of t_max, one whose grid misses t_max by rounding, a
 tight-tolerance run at n = 12, stiff kinetics with and without a
-coexistence state, and a run whose v starts at zero), and check and
-certify on both presets and on the ill-posed set.  Prints one JSON object:
+coexistence state, runs whose v or u starts at zero, and one whose v
+starts at zero on a set where v would decay), and check and certify on
+both presets and on the ill-posed set.  Prints one JSON object:
 the SHA-256 of every file the commands write, each run's outcome, reason,
 final time and counters, and each command's exit code and the SHA-256 of
 its stdout, with the output directory masked as <out>.
@@ -46,9 +47,14 @@ STIFF_FILE = "stiff.json"
 # The same with a2 = -1, which leaves no coexistence state.
 STIFF_NO_COEXISTENCE = dict(c2=1e14, a2=-1.0)
 STIFF_NO_COEXISTENCE_FILE = "stiff_no_coexistence.json"
+# case1 with a2 = 0.1 and b2 = -0.5: no coexistence state, and at u = a1/b1 the
+# growth rate a2 + b2 u of v is negative, so the mean-mode Jacobian entries of
+# v are negative and a zero that changes sign shows in the bytes.
+DECAYING_V = dict(a2=0.1, b2=-0.5)
+DECAYING_V_FILE = "decaying_v.json"
 # The parameter files the commands read from <out>, each case1 with its overrides.
 PARAM_FILES = {ILL_POSED_FILE: ILL_POSED, STIFF_FILE: STIFF,
-               STIFF_NO_COEXISTENCE_FILE: STIFF_NO_COEXISTENCE}
+               STIFF_NO_COEXISTENCE_FILE: STIFF_NO_COEXISTENCE, DECAYING_V_FILE: DECAYING_V}
 
 # Each command's argv; run and sweep write to <out>/<name>.
 COMMANDS = {
@@ -69,6 +75,8 @@ COMMANDS = {
     "run-stiff": ["run", STIFF_FILE, "--ic", "cosine:0.5,0.2,1,1"],
     "run-stiff-no-coexistence": ["run", STIFF_NO_COEXISTENCE_FILE, "--ic", "cosine:0.5,0.2,1,1"],
     "run-case1-v-zero": ["run", "case1", "--ic", "cosine:0.5,0.2,1,1", "--ic", "constant:0"],
+    "run-case1-u-zero": ["run", "case1", "--ic", "constant:0", "--ic", "cosine:0.5,0.2,1,1"],
+    "run-decaying-v-zero": ["run", DECAYING_V_FILE, "--ic", "cosine:0.5,0.2,1,1", "--ic", "constant:0"],
     **{f"{command}-{source}": [command, source if source != "ill-posed" else ILL_POSED_FILE]
        for command in ("check", "certify") for source in ("case1", "case2", "ill-posed")},
 }

@@ -7,7 +7,10 @@ The weak form against a test mode phi is
 with the boundary term dropped by the zero-flux condition.  RhsAssembler
 evaluates it as an exact linear part at the spatial mean plus a quadratic
 part in the deviation, which it synthesizes, multiplies pointwise and
-projects on a midpoint grid fine enough to integrate it exactly.  rhs_oracle
+projects on a midpoint grid fine enough to integrate it exactly.  Its one
+batch entry point, rhs_flat, reads states y and returns F = dy/dt beside the
+per-mode linear blocks.  The coexistence state that the time stepper steps
+about is integrate's business, not the assembler's.  rhs_oracle
 evaluates the whole weak form in one piece on a finer grid.  Tests check
 RhsAssembler against it and against the triple-product tensors of
 reference.build_tensors.
@@ -15,13 +18,12 @@ reference.build_tensors.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import ModelParams, coexistence_steady_state, flux_coeffs, reactions
+from .model import ModelParams, flux_coeffs, reactions
 from .spectral import (
     Basis,
     SpectralState,
@@ -54,23 +56,14 @@ class RhsAssembler:
     The state splits into its mean (mode (0, 0)) and a zero-mean deviation.
     The mean gives the reactions pi*(f, g)(u_bar, v_bar) on mode (0, 0) and a
     2x2 linear block per mode, -(j^2 + k^2) A + J, with A the cross-diffusion
-    matrix and J the reaction Jacobian at the mean (derivative and rhs_flat
-    return them beside the derivative; the time stepper integrates these
-    blocks exactly).  The part quadratic in the deviation is synthesized on the
-    midpoint grid of R = floor(3n/2) + 1 points per axis, formed pointwise,
-    and projected back.  Its integrands are trigonometric of degree at most 3n < 2R per
-    axis, so the midpoint rule integrates them exactly (the 3/2 rule).  A
-    homogeneous state has a zero deviation and so gets exact zeros off the
-    mean mode.
-
-    The reference state y* is pi*(u*, v*) on mode (0, 0), with (u*, v*) the
-    coexistence state; reference holds its two coefficients as Python
-    floats, or None where the parameters have no coexistence state (y* = 0)
-    and on the copy that unshifted makes.  With a reference, the block of
-    mode (0, 0) is J, so that a Lawson step of y - y* sees no nonlinear
-    part at y*; without one, that block is zero.  derivative reads states y,
-    and rhs_flat, the time stepper's call, reads deviations y - y*
-    (relative makes them and absolute undoes them).
+    matrix and J the reaction Jacobian at the mean; on mode (0, 0) the block
+    is J.  rhs_flat returns these blocks beside F, and the time stepper
+    integrates them exactly.  The part quadratic in the deviation is
+    synthesized on the midpoint grid of R = floor(3n/2) + 1 points per axis,
+    formed pointwise, and projected back.  Its integrands are trigonometric
+    of degree at most 3n < 2R per axis, so the midpoint rule integrates them
+    exactly (the 3/2 rule).  A homogeneous state has a zero deviation and so
+    gets exact zeros off the mean mode.
     """
 
     def __init__(self, params: ModelParams, n: int):
@@ -89,39 +82,28 @@ class RhsAssembler:
         self._alpha = np.array([[p.alpha11, p.alpha12], [p.alpha21, p.alpha22]]).reshape(2, 2, 1, 1, 1)
         self._cross, self._self_rate, self._other_rate = np.array(
             [[p.b11, p.b22], [p.b1, p.c2], [p.c1, p.b2]]).reshape(3, 2, 1, 1, 1)
-        star = coexistence_steady_state(p)
-        self.reference = None if star is None else (np.pi * star[0], np.pi * star[1])
 
     @classmethod
     def for_order(cls, params: ModelParams, n: int) -> "RhsAssembler":
         return cls(params, n)
 
-    def unshifted(self) -> "RhsAssembler":
-        """This assembler without a reference state; it shares the tables."""
-        plain = copy.copy(self)
-        plain.reference = None
-        return plain
-
-    def _mean_terms(self, mu: np.ndarray, shift):
+    def _mean_terms(self, mu: np.ndarray):
         """The linear blocks and the mean-mode reactions of a batch at its means.
 
         mu has shape (2, B, n+1, n+1), and member b's means (u_bar, v_bar)
-        are (mu[:, b, 0, 0] + shift) / pi, shift a pair of floats or None for
-        none.  Returns L of
-        shape (2, 2, B, n+1, n+1), where L[:, :, b, j, k] is the block
-        -(j^2 + k^2) A + J of member b at its (u_bar, v_bar), with A the
-        cross-diffusion matrix and J the reaction Jacobian, so that the
-        linear part of the derivative of species r is L[r, 0] mu1 + L[r, 1] mu2;
-        the block of mode (0, 0) is J, or zero where there is no y*.  Also
-        returns pi*(f, g)(u_bar, v_bar), shape (2, B).  The scalars, the
-        shift included, are formed per member in Python floats: on one
-        member that costs less than numpy scalars.
+        are mu[:, b, 0, 0] / pi.  Returns L of shape (2, 2, B, n+1, n+1),
+        where L[:, :, b, j, k] is the block -(j^2 + k^2) A + J of member b at
+        its (u_bar, v_bar), with A the cross-diffusion matrix and J the
+        reaction Jacobian, so that the linear part of F for species r is
+        L[r, 0] mu1 + L[r, 1] mu2; the block of mode (0, 0) is J.  Also
+        returns pi*(f, g)(u_bar, v_bar), shape (2, B).  The scalars are formed
+        per member in Python floats: on one member that costs less than numpy
+        scalars.
         """
         p = self.params
-        u_ref, v_ref = shift or (0.0, 0.0)
         rows = []
         for u_mode, v_mode in zip(*mu[:, :, 0, 0].tolist()):
-            u, v = (u_mode + u_ref) / np.pi, (v_mode + v_ref) / np.pi
+            u, v = u_mode / np.pi, v_mode / np.pi
             fc = flux_coeffs(p, u, v)
             f, g = reactions(p, u, v)
             rows.append((fc.Pu, fc.Pv, fc.Qu, fc.Qv,
@@ -131,46 +113,21 @@ class RhsAssembler:
         terms = np.array(rows).T
         A = terms[:4].reshape(2, 2, -1, 1, 1)
         J = terms[4:8].reshape(2, 2, -1, 1, 1)
-        L = J - A * self._eig
-        if self.reference is None:
-            L[..., 0, 0] = 0.0
-        return L, terms[8:]
-
-    def relative(self, y: np.ndarray) -> np.ndarray:
-        """A new array holding y - y*: the input rhs_flat reads for the state y."""
-        z = y.copy()
-        if self.reference is not None:
-            z[0, :, 0, 0] -= self.reference[0]
-            z[1, :, 0, 0] -= self.reference[1]
-        return z
-
-    def absolute(self, z: np.ndarray) -> np.ndarray:
-        """The states z + y* of deviations z, formed in place: relative undone."""
-        if self.reference is not None:
-            z[0, :, 0, 0] += self.reference[0]
-            z[1, :, 0, 0] += self.reference[1]
-        return z
+        return J - A * self._eig, terms[8:]
 
     # perfbench/spans.py wraps this method by its name and calls the wrapper
-    # as wrapper(assembler, z), so the name and the one-argument call stay.
-    def rhs_flat(self, z: np.ndarray):
-        """derivative at the states z + y* of a batch of deviations z = relative(y)."""
-        return self.derivative(z, self.reference)
+    # as wrapper(assembler, y), so the name and the one-argument call stay.
+    def rhs_flat(self, y: np.ndarray):
+        """F = dy/dt and the linear blocks L of a species-leading batch y, shape (2, B, n+1, n+1).
 
-    def derivative(self, y: np.ndarray, shift=None):
-        """Derivative F and linear blocks L of a species-leading batch y, shape (2, B, n+1, n+1).
-
-        Member b's means are (y[:, b, 0, 0] + shift) / pi: y holds the
-        states themselves when shift is None.  F has the shape of y, and each
-        member's F is bit for bit the one it gets in a batch of one.  L, shape
-        (2, 2, B, n+1, n+1), holds the blocks at each member's mean (see
-        _mean_terms); the time stepper takes them as the next step's frozen
-        linear part.  The linear part of F acts on the zero-mean deviation
-        only, so the shift only places the means.  y is not changed.
+        F has the shape of y, and each member's F is bit for bit the one it
+        gets in a batch of one.  L, shape (2, 2, B, n+1, n+1), holds the
+        blocks at each member's mean (see _mean_terms); the time stepper
+        takes them as the next step's frozen linear part.  y is not changed.
         """
         C, D = self._C, self._D
         mu = y.copy()
-        L, mean_reactions = self._mean_terms(mu, shift)
+        L, mean_reactions = self._mean_terms(mu)
         mu[:, :, 0, 0] = 0.0
 
         # Linear part at the mean.
@@ -178,7 +135,7 @@ class RhsAssembler:
         out[:, :, 0, 0] += mean_reactions
 
         # Quadratic part of the deviation, by the 3/2-rule grid: g holds
-        # (u, v), gx and gy their derivatives, and species r is paired with
+        # (u, v), gx and gy their x and y slopes, and species r is paired with
         # the other one through g[::-1].
         cm = C.T @ mu
         g = cm @ C
@@ -193,10 +150,10 @@ class RhsAssembler:
         return out, L
 
     def rhs(self, state: SpectralState):
-        """(dmu1, dmu2) of one state: derivative on a batch of one."""
+        """(dmu1, dmu2) of one state: rhs_flat on a batch of one."""
         if state.n != self.n:
             raise ValueError(f"state order {state.n} does not match assembler order {self.n}")
-        F, _ = self.derivative(np.stack([state.mu1, state.mu2])[:, None])
+        F, _ = self.rhs_flat(np.stack([state.mu1, state.mu2])[:, None])
         return F[0, 0], F[1, 0]
 
 

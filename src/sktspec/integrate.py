@@ -1,37 +1,38 @@
 """Adaptive time integration and run orchestration.
 
 The coefficient ODE system y' = F(y) is stepped as z' = L z + N(z) for the
-deviation z = y - y* from the assembler's reference state y*, the
-coexistence state pi*(u*, v*) on mode (0, 0) (y* = 0 where there is none).
-L holds the per-mode 2x2 linear blocks that RhsAssembler.rhs_flat returns
-beside F, formed at the spatial mean of each step's start and frozen for
-the step; on the mean mode it is the reaction Jacobian J where y* exists
-and zero where it does not.  N = F - L z, which vanishes at y*.  Each step
-is the integrating-factor ("Lawson") form of the embedded Dormand-Prince
-5(4) pair: every stage carries the exact block exponentials exp(theta h L),
-so neither the stiff diffusion of high modes nor the mean mode's kinetics
-near y* sets a stability limit, and the step is chosen by accuracy alone.
-A Lawson step is exact only where N = 0, and the shift puts that at the
-fixed point the runs settle to (Hochbruck & Ostermann, Acta Numerica 19,
-2010).  It keeps six rhs calls per attempt with FSAL stage reuse and a
-weighted max-norm error test
+deviation z = y - y* from a reference state y*: the coexistence state
+pi*(u*, v*) on mode (0, 0), which Batch computes once for its parameters,
+or y* = 0 where there is none.  No other module steps about y*:
+RhsAssembler.rhs_flat reads states and returns F beside the per-mode 2x2
+linear blocks, with the reaction Jacobian J on the mean mode.  L holds those
+blocks, formed at the spatial mean of each step's start and frozen for the
+step, and N = F - L z, which vanishes at y*.  Each step is the
+integrating-factor ("Lawson") form of the embedded Dormand-Prince 5(4)
+pair: every stage carries the exact block exponentials exp(theta h L), so
+neither the stiff diffusion of high modes nor the mean mode's kinetics near
+y* sets a stability limit, and the step is chosen by accuracy alone.  A
+Lawson step is exact only where N = 0, and the shift puts that at the fixed
+point the runs settle to (Hochbruck & Ostermann, Acta Numerica 19, 2010).
+It keeps six rhs calls per attempt with FSAL stage reuse and a weighted
+max-norm error test
 err = max |e_i| / (atol + rtol*max(|y_i|, |y_new_i|)) <= 1, scaled by the
 states y, not by z.  A homogeneous state stays homogeneous exactly, and so
-does a species that is identically zero: such a run steps unshifted, with a
-zero mean-mode block (RhsAssembler.unshifted), since y* lies off the set
-where that species vanishes and N would not be zero on it.  The
-step size follows the PI controller of DOPRI5 (Hairer, Norsett & Wanner,
-Solving ODEs I, II.4), with the exponents 0.17 on err and 0.04 on the
-previous err: this stepper has no stability limit for Gustafsson's damping
-gains to hold it at.
+does a species that is identically zero: y* lies off the set where that
+species vanishes, and N would not be zero on it, so such a run steps with
+y* = 0, as every run does where there is no coexistence state, and with a
+zero mean-mode block (_unshifted_blocks).  The step size follows the PI
+controller of DOPRI5 (Hairer, Norsett & Wanner, Solving ODEs I, II.4), with
+the exponents 0.17 on err and 0.04 on the previous err: this stepper has no
+stability limit for Gustafsson's damping gains to hold it at.
 
 A Batch integrates runs that share parameters and a RunConfig in lockstep.
 Each round makes one attempt for every running member, each with its own
-time, step size, frozen L and controller state: one block-exponential
-evaluation, one set of stage rows and six rhs calls on a species-leading
-(2, B, n+1, n+1) state serve them all, and a member leaves the batch when it
-finishes.  Every operation acts member by member, so a run's output does not
-depend on the batch it ran in; run is a batch of one.
+time, step size, frozen L, reference state and controller state: one
+block-exponential evaluation, one set of stage rows and six rhs calls on a
+species-leading (2, B, n+1, n+1) state serve them all, and a member leaves
+the batch when it finishes.  Every operation acts member by member, so a
+run's output does not depend on the batch it ran in; run is a batch of one.
 
 A run ends in one of four ways.  At set-up and after every accepted step,
 _Member.advance makes the blow-up test (blow_up, reason sup_threshold),
@@ -71,7 +72,7 @@ import numpy as np
 
 from .galerkin import RhsAssembler, block_product, project_initial
 from .lyapunov import LyapunovCert, PreconditionError, eval_H, find_certificate, level_excess
-from .model import ModelParams, check_conditions, params_to_dict
+from .model import ModelParams, check_conditions, coexistence_steady_state, params_to_dict
 from .spectral import SpectralState, synthesize
 
 __all__ = [
@@ -193,21 +194,36 @@ def _block_exp(L: np.ndarray, t) -> np.ndarray:
     return E
 
 
-def _attempt(assembler: RhsAssembler, L: np.ndarray, y: np.ndarray, f: np.ndarray, h: np.ndarray):
+def _unshifted_blocks(L: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """L with a zero mode (0, 0) block for each member b that has no reference state.
+
+    ref, shape (2, B), holds each member's reference state y* on mode (0, 0),
+    and zero where the member has none; L, shape (2, 2, B, w, w), comes from
+    rhs_flat, which puts J on that block for every member.  L is changed in
+    place and returned.
+    """
+    L[:, :, ~ref.any(axis=0), 0, 0] = 0.0
+    return L
+
+
+def _attempt(assembler: RhsAssembler, ref: np.ndarray, L: np.ndarray, y: np.ndarray, f: np.ndarray,
+             h: np.ndarray):
     """One Lawson trial step of size h[b] on z' = L z + N(z), z = y - y*, for every member b.
 
-    Members lie on axis 1 of y and of f = F(y), shape (2, B, w, w), and on
-    axis 2 of L, shape (2, 2, B, w, w).  The stages are deviations Z from
-    the assembler's reference state y*, which is what rhs_flat reads.
-    Returns (y_new, error vector, F(y_new), the linear blocks of y_new): the
-    first three shaped like y, the last like L, and the last two serve the
-    next step (FSAL).
+    Members lie on axis 1 of y and of f = F(y), shape (2, B, w, w), on
+    axis 2 of L, shape (2, 2, B, w, w), and on axis 1 of ref, shape (2, B),
+    which holds each member's y* on mode (0, 0) (see _unshifted_blocks).
+    The stages Z are deviations from y*, and the rhs is read at the stage
+    states Z + y*.  Returns (y_new, error vector, F(y_new), the linear blocks
+    of y_new): the first three shaped like y, the last like L, and the last
+    two serve the next step (FSAL).
     """
     E = _block_exp(L, np.multiply.outer(_THETA, h)[:, :, None, None])
     W = h[:, None, None] * _ROW_WEIGHT
     W[:, :, 0] = _ROW_WEIGHT[:, 0]
     V = np.empty((8,) + y.shape)
-    V[0] = assembler.relative(y)
+    V[0] = y
+    V[0, :, :, 0, 0] -= ref
     V[1] = f - block_product(L, V[0])
 
     def row(i, cols):
@@ -216,10 +232,12 @@ def _attempt(assembler: RhsAssembler, L: np.ndarray, y: np.ndarray, f: np.ndarra
 
     for i in range(1, 7):
         Z = row(i, slice(0, i + 1))
-        f, L_new = assembler.rhs_flat(Z)
+        Y = Z.copy()
+        Y[:, :, 0, 0] += ref
+        f, L_new = assembler.rhs_flat(Y)
         V[i + 1] = f - block_product(L, Z)
-    # c_6 = 1 and row 6 holds the 5th-order weights, so Z_6 + y* is the new state.
-    return assembler.absolute(Z), row(7, slice(1, 8)), f, L_new
+    # c_6 = 1 and row 6 holds the 5th-order weights, so Y_6 is the new state.
+    return Y, row(7, slice(1, 8)), f, _unshifted_blocks(L_new, ref)
 
 
 def _error_norms(e: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, atol: float) -> list:
@@ -288,15 +306,15 @@ class _Control:
         return True
 
 
-def _round(assembler: RhsAssembler, y: np.ndarray, f: np.ndarray, L: np.ndarray,
+def _round(assembler: RhsAssembler, ref: np.ndarray, y: np.ndarray, f: np.ndarray, L: np.ndarray,
            controls: list, rtol: float, atol: float):
     """One lockstep round: an attempt of size c.dt for each member's control c.
 
     Settles every control and returns (y, f, L, accepted): accepted members
     carry their new state, its F and its linear blocks, and the others keep
-    theirs for a shorter attempt.
+    theirs for a shorter attempt.  ref is as in _attempt.
     """
-    y_new, e, f_new, L_new = _attempt(assembler, L, y, f, np.array([c.dt for c in controls]))
+    y_new, e, f_new, L_new = _attempt(assembler, ref, L, y, f, np.array([c.dt for c in controls]))
     accepted = [c.settle(err) for c, err in zip(controls, _error_norms(e, y, y_new, rtol, atol))]
     if all(accepted):
         return y_new, f_new, L_new, accepted
@@ -520,13 +538,15 @@ class _Member(_Control):
 class Batch:
     """Runs that share parameters and a RunConfig, integrated in lockstep.
 
-    The condition report, the certificate search and the rhs assembler are
-    made once for the batch.  add sets up one run; integrate steps every run
-    to its outcome and returns the RunResults in the order of add.  Each
-    round makes one Lawson DP5 attempt for every running member, and a
-    member leaves the batch as it finishes.  A run's result is bit for bit
-    the one it gets in a batch of one.  A certificate with a value that is
-    not finite raises ValueError before any run is set up.
+    The condition report, the certificate search, the rhs assembler and the
+    coexistence state y* are made once for the batch.  add sets up one run
+    and gives it its reference state: y*, or zero where there is no y* or a
+    species is identically zero.  integrate steps every run to its outcome
+    and returns the RunResults in the order of add.  Each round makes one
+    Lawson DP5 attempt for every running member, and a member leaves the
+    batch as it finishes.  A run's result is bit for bit the one it gets in
+    a batch of one.  A certificate with a value that is not finite raises
+    ValueError before any run is set up.
     """
 
     def __init__(self, params: ModelParams, config: RunConfig):
@@ -540,9 +560,10 @@ class Batch:
         if self.cert is not None:
             self.cert.check_finite()
         self.assembler = RhsAssembler.for_order(params, config.n)
-        self._unshifted = self.assembler if self.assembler.reference is None else self.assembler.unshifted()
+        star = coexistence_steady_state(params)
+        self._star = (0.0, 0.0) if star is None else (np.pi * star[0], np.pi * star[1])
         self.members: list = []
-        # Each member's assembler and its (y, F(y), L) at the start, with a
+        # Each member's (y, F(y), L, reference state) at the start, with a
         # member axis of length 1.
         self._starts: list = []
 
@@ -561,9 +582,10 @@ class Batch:
         state, projection = project_initial(ic_u, ic_v, self.config.n)
         y = np.stack([state.mu1, state.mu2])[:, None]
         # A species that is identically zero stays so only in unshifted steps.
-        assembler = self.assembler if y[0].any() and y[1].any() else self._unshifted
+        ref = np.array(self._star if y[0].any() and y[1].any() else (0.0, 0.0)).reshape(2, 1)
         # F(y) and L, kept current by every step (FSAL); the diagnostics read F too.
-        f, L = assembler.derivative(y)
+        f, L = self.assembler.rhs_flat(y)
+        _unshifted_blocks(L, ref)
         member = _Member(self.config, projection)
         member.advance(self, y[:, 0], f[:, 0], _sup_bounds(y)[0])
         if member.result is not None:
@@ -571,28 +593,19 @@ class Batch:
                 f"initial fields reach sup |u|, |v| = {_field_sup(self.config, y[:, 0], 0.0)}, "
                 f"above blowup_threshold {self.config.blowup_threshold}")
         self.members.append(member)
-        self._starts.append((assembler, y, f, L))
+        self._starts.append((y, f, L, ref))
 
     @np.errstate(over="ignore", invalid="ignore")
     def integrate(self) -> list:
-        """Step every member to its outcome; returns the results in the order of add.
-
-        The members that share an assembler (see add) step in lockstep, one
-        such group after the other.
-        """
-        for assembler in dict.fromkeys(start[0] for start in self._starts):
-            self._step_group(assembler)
-        return [m.result for m in self.members]
-
-    def _step_group(self, assembler: RhsAssembler) -> None:
-        pending = [(m, start[1:]) for m, start in zip(self.members, self._starts)
-                   if m.result is None and start[0] is assembler]
+        """Step every member to its outcome; returns the results in the order of add."""
+        pending = [(m, start) for m, start in zip(self.members, self._starts) if m.result is None]
         live = [m for m, _ in pending]
         if live:
-            ys, fs, Ls = zip(*(start for _, start in pending))
+            ys, fs, Ls, refs = zip(*(start for _, start in pending))
             y, f, L = np.concatenate(ys, axis=1), np.concatenate(fs, axis=1), np.concatenate(Ls, axis=2)
+            ref = np.concatenate(refs, axis=1)
         while live:
-            y, f, L, accepted = _round(assembler, y, f, L, live,
+            y, f, L, accepted = _round(self.assembler, ref, y, f, L, live,
                                        self.config.rtol, self.config.atol)
             bounds = _sup_bounds(y)
             for b, (m, ok) in enumerate(zip(live, accepted)):
@@ -604,7 +617,8 @@ class Batch:
             if any(m.result is not None for m in live):
                 keep = [b for b, m in enumerate(live) if m.result is None]
                 live = [live[b] for b in keep]
-                y, f, L = y[:, keep], f[:, keep], L[:, :, keep]
+                y, f, L, ref = y[:, keep], f[:, keep], L[:, :, keep], ref[:, keep]
+        return [m.result for m in self.members]
 
 
 def run(params: ModelParams, config: RunConfig, ic_u, ic_v) -> RunResult:

@@ -7,9 +7,12 @@ from hypothesis import HealthCheck, settings
 import sktspec
 from sktspec.model import preset
 
+# derandomize: every run draws the same examples, so a failure found once
+# is found on every machine, not only where .hypothesis/ replays it.
 settings.register_profile(
     "suite",
     deadline=None,
+    derandomize=True,
     max_examples=50,
     suppress_health_check=[HealthCheck.too_slow],
 )

@@ -20,6 +20,7 @@ from sktspec.integrate import (
     _Control,
     _round,
     _sup_bounds,
+    _unshifted_blocks,
     diagnostics,
     load_snapshots,
     run,
@@ -64,20 +65,22 @@ class StepUnderflow(RuntimeError):
 def step(asm, state, dt, rtol, atol, dt_max=math.inf):
     """One accepted step from state through the batched stepper, as a batch of one.
 
-    The first attempt tries dt (capped at dt_max).  Returns (new state,
+    The parameters must have a coexistence state; the step is taken about
+    it.  The first attempt tries dt (capped at dt_max).  Returns (new state,
     dt_used, dt_next, the last attempt's error estimate); raises
     StepUnderflow where a run would end in blow_up with the reason
     step_underflow.
     """
     y = np.stack([state.mu1, state.mu2])[:, None]
-    f, L = asm.derivative(y)
+    ref = np.pi * np.array(coexistence_steady_state(asm.params))[:, None]  # y* on mode (0, 0)
+    f, L = asm.rhs_flat(y)
     control = _Control(state.t, dt)
     control.begin(dt_max)
     accepted = [False]
     while not accepted[0]:
         if control.underflows():
             raise StepUnderflow(f"step size {control.dt} underflowed at t = {control.t}")
-        y, f, L, accepted = _round(asm, y, f, L, [control], rtol, atol)
+        y, f, L, accepted = _round(asm, ref, y, f, L, [control], rtol, atol)
     return SpectralState(y[0, 0], y[1, 0], control.t), control.dt, control.dt_next, control.err
 
 
@@ -419,10 +422,10 @@ def test_attempt_matches_plain_lawson_dp5(case2, rng, h):
     state = constant_state(n, *coexistence_steady_state(case2))
     y_star = np.stack([state.mu1, state.mu2])
     y = y_star[:, None] + 0.05 * rng.normal(size=(2, 1, n + 1, n + 1))  # a batch of one
-    f, L = asm.derivative(y)
+    f, L = asm.rhs_flat(y)
     ref_y, ref_err, ref_f = lawson_dp5_reference(asm, L[:, :, 0], y[:, 0], h, y_star)
-    y_new, err, f, L_new = _attempt(asm, L, y, f, np.array([h]))
-    assert np.array_equal(L_new, asm.derivative(y_new)[1])
+    y_new, err, f, L_new = _attempt(asm, y_star[:, None, 0, 0], L, y, f, np.array([h]))
+    assert np.array_equal(L_new, asm.rhs_flat(y_new)[1])
     for got, want, tol in ((y_new, ref_y, 1e-12), (f, ref_f, 1e-12), (err, ref_err, 1e-6)):
         got, want = got.ravel(), want.ravel()
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
@@ -438,8 +441,8 @@ def test_attempt_from_the_coexistence_state_stays_there(name):
     asm = RhsAssembler.for_order(p, n)
     state = constant_state(n, *coexistence_steady_state(p))
     y = np.stack([state.mu1, state.mu2])[:, None]
-    f, L = asm.derivative(y)
-    y_new, err, _, _ = _attempt(asm, L, y, f, np.array([50.0]))
+    f, L = asm.rhs_flat(y)
+    y_new, err, _, _ = _attempt(asm, y[:, :, 0, 0], L, y, f, np.array([50.0]))
     assert np.abs(y_new - y).max() <= 1e-14 * np.abs(y).max()
     assert np.abs(err).max() <= 1e-14
 
@@ -458,29 +461,32 @@ def unshifted_attempt(asm, L, y, f, h):
 
     for i in range(1, 7):
         Y = row(i, slice(0, i + 1))
-        f, L_new = asm.derivative(Y)
+        f, L_new = asm.rhs_flat(Y)
+        L_new[:, :, :, 0, 0] = 0.0
         V[i + 1] = f - block_product(L, Y)
     return Y, row(7, slice(1, 8)), f, L_new
 
 
 @pytest.mark.parametrize("unshifted", [False, True])
 def test_attempt_without_a_reference_state_is_unshifted(case1, rng, unshifted):
-    # a2 = -1 leaves case1 no coexistence state, and unshifted() drops it:
-    # either way no shift, and the mean mode's block stays zero.
+    # a2 = -1 leaves case1 no coexistence state, and a run with a species at
+    # zero steps case1 without its own: either way the reference is zero, no
+    # shift, and the mean mode's block stays zero.
     if unshifted:
-        asm = RhsAssembler.for_order(case1, 3).unshifted()
+        p = case1
     else:
         p = replace(case1, a2=-1.0)
         assert coexistence_steady_state(p) is None
-        asm = RhsAssembler.for_order(p, 3)
+    asm = RhsAssembler.for_order(p, 3)
     n = 3
     y = 0.1 * rng.normal(size=(2, 2, n + 1, n + 1))
     y[:, :, 0, 0] += 0.5 * np.pi
-    f, L = asm.derivative(y)
-    assert asm.reference is None and np.array_equal(asm.relative(y), y)
+    ref = np.zeros((2, 2))
+    f, L = asm.rhs_flat(y)
+    _unshifted_blocks(L, ref)
     assert not L[:, :, :, 0, 0].any()
     h = np.array([0.05, 0.2])
-    for got, want in zip(_attempt(asm, L, y, f, h), unshifted_attempt(asm, L, y, f, h)):
+    for got, want in zip(_attempt(asm, ref, L, y, f, h), unshifted_attempt(asm, L, y, f, h)):
         assert np.array_equal(got, want)
 
 
@@ -569,16 +575,28 @@ def test_a_species_that_starts_at_zero_stays_there(case1, zero_u, steps, t_end):
     assert abs((result.final_state.mu1, result.final_state.mu2)[alive][0, 0] / np.pi - level) < 1e-7
 
 
-def test_a_batch_steps_zero_species_runs_apart(case1, tmp_path):
-    # Runs with a species at zero step unshifted in their own lockstep
-    # group; each run is still bit for bit its batch of one.
+def test_a_batch_steps_zero_species_runs_in_one_lockstep_group(case1, tmp_path, monkeypatch):
+    # Runs with a species at zero step unshifted beside a run stepped about
+    # y*, in one lockstep group: the batch makes as many rounds as its
+    # longest run makes attempts (a group per reference would make the sum
+    # of each group's longest), and each run is still bit for bit its
+    # batch of one.
     config = RunConfig(n=4)
     ics = [(COSINE, ZERO), (SWEEP_SHAPES["C"], SWEEP_SHAPES["A"]), (ZERO, COSINE)]
     batch = Batch(case1, config)
     for ic_u, ic_v in ics:
         batch.add(ic_u, ic_v)
-    assert [start[0] for start in batch._starts] == [batch._unshifted, batch.assembler, batch._unshifted]
+    rounds = []
+
+    def counted_round(*args):
+        rounds.append(len(args[-3]))  # the controls of the members in the round
+        return _round(*args)
+
+    monkeypatch.setattr("sktspec.integrate._round", counted_round)
     together = batch.integrate()
+    monkeypatch.undo()
+    assert rounds[0] == 3
+    assert len(rounds) == max(r.n_steps + r.steps_rejected for r in together)
     for i, ((ic_u, ic_v), got) in enumerate(zip(ics, together)):
         assert_same_run(got, run(case1, config, ic_u, ic_v), tmp_path / str(i))
 
